@@ -13,6 +13,17 @@ FlowTable::FlowTable(TableConfig config) : config_{config} {
   reasm_.reserve(config_.expected_flows / 4 + 1);
 }
 
+bool source_is_client(net::Ipv4Address src, std::uint16_t src_port,
+                      net::Ipv4Address dst, std::uint16_t dst_port,
+                      std::uint8_t tcp_flags) noexcept {
+  const bool syn = tcp_flags & packet::tcpflags::kSyn;
+  const bool ack = tcp_flags & packet::tcpflags::kAck;
+  if (syn) return !ack;  // SYN sender initiates; SYN/ACK sender serves
+  if ((src_port < 1024) != (dst_port < 1024)) return dst_port < 1024;
+  if (src_port != dst_port) return dst_port < src_port;
+  return src < dst;
+}
+
 OrientedKey orient(const packet::DecodedPacket& pkt) {
   OrientedKey out;
   const auto src = pkt.src_v4();
@@ -21,18 +32,8 @@ OrientedKey orient(const packet::DecodedPacket& pkt) {
   const std::uint16_t dport = pkt.dst_port();
   out.key.transport = pkt.is_tcp() ? Transport::kTcp : Transport::kUdp;
 
-  bool src_is_client;
-  if (pkt.is_tcp() && pkt.tcp().syn() && !pkt.tcp().ack_flag()) {
-    src_is_client = true;  // SYN sender initiates
-  } else if (pkt.is_tcp() && pkt.tcp().syn() && pkt.tcp().ack_flag()) {
-    src_is_client = false;  // SYN/ACK sender is the server
-  } else if ((sport < 1024) != (dport < 1024)) {
-    src_is_client = dport < 1024;
-  } else if (sport != dport) {
-    src_is_client = dport < sport;
-  } else {
-    src_is_client = src < dst;
-  }
+  const bool src_is_client = source_is_client(
+      src, sport, dst, dport, pkt.is_tcp() ? pkt.tcp().flags : 0);
 
   if (src_is_client) {
     out.key.client_ip = src;

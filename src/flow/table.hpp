@@ -107,4 +107,12 @@ struct OrientedKey {
 /// (ports below 1024 always win); ties fall back to address ordering.
 OrientedKey orient(const packet::DecodedPacket& pkt);
 
+/// The same rules on bare header fields: true when the packet's source is
+/// the client. `tcp_flags` is the TCP flags byte, 0 for UDP. orient() and
+/// the pipeline dispatcher (on a packet::HeaderPeek) both call this, so a
+/// frame's shard and its flow's orientation can never disagree.
+bool source_is_client(net::Ipv4Address src, std::uint16_t src_port,
+                      net::Ipv4Address dst, std::uint16_t dst_port,
+                      std::uint8_t tcp_flags) noexcept;
+
 }  // namespace dnh::flow

@@ -70,4 +70,23 @@ std::optional<DecodedPacket> decode_frame(net::BytesView frame,
                                           util::Timestamp ts,
                                           DecodeFailure& failure);
 
+/// The routing fields of an IPv4 TCP/UDP frame, read at fixed offsets.
+struct HeaderPeek {
+  net::Ipv4Address src;
+  net::Ipv4Address dst;
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+  std::uint8_t protocol = 0;   ///< kProtoTcp or kProtoUdp
+  std::uint8_t tcp_flags = 0;  ///< wire flags byte; 0 for UDP
+
+  bool is_tcp() const noexcept { return protocol == kProtoTcp; }
+};
+
+/// Reads the routing fields without decoding the frame: no payload view,
+/// no header structs. Accepts exactly the frames for which decode_frame
+/// returns an IPv4 TCP or UDP packet (the same VLAN-tag limit and IHL,
+/// total-length, TCP data-offset and UDP-length checks), and then every
+/// field equals the decoded one. Returns false for everything else.
+bool peek_headers(net::BytesView frame, HeaderPeek& out) noexcept;
+
 }  // namespace dnh::packet

@@ -36,8 +36,8 @@ struct RecordHeader {
 };
 static_assert(sizeof(RecordHeader) == 16);
 
-/// Hard cap on a record body; anything larger is corruption, not capture.
-constexpr std::uint32_t kMaxRecordBytes = 256 * 1024;
+static_assert(kReadBlockBytes >= sizeof(RecordHeader) + kMaxRecordBytes,
+              "a read block must hold any whole record");
 
 /// Resync scans accept a candidate only if its timestamp lands within this
 /// window of the last good record — random garbage almost never does.
@@ -76,6 +76,9 @@ std::optional<Reader> Reader::open(const std::string& path, Mode mode) {
   if (major != 2) return std::nullopt;
   reader.snaplen_ = reader.swapped_ ? bswap32(gh.snaplen) : gh.snaplen;
   reader.link_type_ = reader.swapped_ ? bswap32(gh.network) : gh.network;
+  reader.block_ = std::make_unique_for_overwrite<unsigned char[]>(
+      kReadBlockBytes);
+  reader.block_offset_ = static_cast<long>(sizeof gh);
   return reader;
 }
 
@@ -197,23 +200,42 @@ bool Reader::try_resync(long record_start) {
   return false;
 }
 
-std::optional<Frame> Reader::next() {
-  if (!file_ || !error_.empty()) return std::nullopt;
+bool Reader::fill(std::size_t n) {
+  if (end_ - pos_ >= n) return true;
+  // Move the unread tail (a partial record) to the front, then top the
+  // block up with one fread; a short read means the file has ended.
+  std::memmove(block_.get(), block_.get() + pos_, end_ - pos_);
+  block_offset_ += static_cast<long>(pos_);
+  end_ -= pos_;
+  pos_ = 0;
+  while (end_ < n) {
+    const std::size_t got = std::fread(block_.get() + end_, 1,
+                                       kReadBlockBytes - end_, file_.get());
+    if (got == 0) return false;
+    end_ += got;
+  }
+  return true;
+}
+
+// dnh-analyze: hot
+bool Reader::next(Frame& out) {
+  if (!file_ || !error_.empty()) return false;
 
   while (true) {
-    const long record_start = std::ftell(file_.get());
-    RecordHeader rh{};
-    const std::size_t got = std::fread(&rh, 1, sizeof rh, file_.get());
-    if (got == 0) return std::nullopt;  // clean EOF
-    if (got != sizeof rh) {
+    if (!fill(sizeof(RecordHeader))) {
+      const std::size_t got = end_ - pos_;
+      pos_ = end_;
+      if (got == 0) return false;  // clean EOF
       if (mode_ == Mode::kResync) {
         corruption_.bytes_skipped += got;
         ++corruption_.truncated_tail;
-        return std::nullopt;
+        return false;
       }
       error_ = "truncated record header";
-      return std::nullopt;
+      return false;
     }
+    RecordHeader rh{};
+    std::memcpy(&rh, block_.get() + pos_, sizeof rh);
     if (swapped_) {
       rh.ts_sec = bswap32(rh.ts_sec);
       rh.ts_frac = bswap32(rh.ts_frac);
@@ -231,38 +253,48 @@ std::optional<Frame> Reader::next() {
             : rh.incl_len > kMaxRecordBytes;
     if (bad_header) {
       if (mode_ == Mode::kResync) {
-        if (try_resync(record_start)) continue;
-        return std::nullopt;
+        // The scan works on the file, not the block: put the file at the
+        // record's logical start, drop the block, and refill from
+        // wherever the scan lands.
+        const long record_start = block_offset_ + static_cast<long>(pos_);
+        std::fseek(file_.get(), record_start, SEEK_SET);
+        pos_ = end_ = 0;
+        const bool found = try_resync(record_start);
+        block_offset_ = std::ftell(file_.get());
+        if (found) continue;
+        return false;
       }
       error_ = "implausible record length";
-      return std::nullopt;
+      return false;
     }
 
-    Frame frame;
-    frame.data.resize(rh.incl_len);
-    if (rh.incl_len > 0) {
-      const std::size_t body =
-          std::fread(frame.data.data(), 1, rh.incl_len, file_.get());
-      if (body != rh.incl_len) {
-        if (mode_ == Mode::kResync) {
-          // The file ends inside this record: unrecoverable tail.
-          corruption_.bytes_skipped += sizeof rh + body;
-          ++corruption_.truncated_tail;
-          return std::nullopt;
-        }
-        error_ = "truncated record body";
-        return std::nullopt;
+    const std::size_t record = sizeof rh + rh.incl_len;
+    if (!fill(record)) {
+      const std::size_t got = end_ - pos_;
+      pos_ = end_;
+      if (mode_ == Mode::kResync) {
+        // The file ends inside this record: unrecoverable tail.
+        corruption_.bytes_skipped += got;
+        ++corruption_.truncated_tail;
+        return false;
       }
+      error_ = "truncated record body";
+      return false;
     }
+    const unsigned char* body = block_.get() + pos_ + sizeof rh;
+    // dnh-analyze: allow(alloc, assign recycles the caller's frame
+    // capacity; it allocates only while that buffer is still growing)
+    out.data.assign(body, body + rh.incl_len);
+    pos_ += record;
     const std::int64_t us =
         static_cast<std::int64_t>(rh.ts_sec) * 1'000'000 +
         (nanos_ ? rh.ts_frac / 1000 : rh.ts_frac);
-    frame.timestamp = util::Timestamp::from_micros(us);
-    frame.original_length = rh.orig_len;
+    out.timestamp = util::Timestamp::from_micros(us);
+    out.original_length = rh.orig_len;
     have_last_ts_ = true;
     last_ts_sec_ = rh.ts_sec;
     ++frames_read_;
-    return frame;
+    return true;
   }
 }
 

@@ -20,7 +20,16 @@ namespace dnh::pcap {
 /// Link-layer header type; we only emit/consume Ethernet.
 inline constexpr std::uint32_t kLinktypeEthernet = 1;
 
+/// Hard cap on a record body; anything larger is corruption, not capture.
+inline constexpr std::uint32_t kMaxRecordBytes = 256 * 1024;
+
+/// Read-block size of the classic Reader. It holds any whole record, so a
+/// block never has to grow.
+inline constexpr std::size_t kReadBlockBytes = 1 << 20;
+
 /// One captured frame: capture timestamp plus the raw link-layer bytes.
+/// Readers fill a caller-owned Frame, so a stream that reuses one Frame
+/// recycles its buffer capacity instead of allocating per record.
 struct Frame {
   util::Timestamp timestamp;
   std::uint32_t original_length = 0;  ///< wire length (>= data.size())
@@ -50,6 +59,10 @@ struct CorruptionStats {
 ///    `corruption()` and reading continues; `error()` stays empty. This is
 ///    the degraded mode a months-long deployment runs in: one bad ring
 ///    page must not kill the capture.
+///
+/// The savefile is read in kReadBlockBytes blocks, one fread per block,
+/// and record headers are parsed in place; a record that straddles a block
+/// boundary is moved to the front of the block before the next fill.
 class Reader {
  public:
   enum class Mode { kStrict, kResync };
@@ -59,8 +72,9 @@ class Reader {
   static std::optional<Reader> open(const std::string& path,
                                     Mode mode = Mode::kStrict);
 
-  /// Reads the next frame; nullopt at end of stream (or on error).
-  std::optional<Frame> next();
+  /// Reads the next frame into `out`, reusing its buffer; false at end of
+  /// stream (or on error), with `out` unspecified.
+  bool next(Frame& out);
 
   /// Non-empty if the stream ended due to corruption rather than EOF
   /// (strict mode only; resync mode reports through `corruption()`).
@@ -89,8 +103,17 @@ class Reader {
   bool chain_ok(long found, std::uint32_t ts_sec, std::uint32_t incl_len,
                 long file_size);
   bool try_resync(long record_start);
+  /// Makes at least `n` unread bytes available in the block, refilling
+  /// from the file; false when the file ends first.
+  bool fill(std::size_t n);
 
   std::unique_ptr<std::FILE, FileCloser> file_;
+  /// kReadBlockBytes, allocated but not zero-filled: pages are touched
+  /// only as reads fill them.
+  std::unique_ptr<unsigned char[]> block_;
+  std::size_t pos_ = 0;     ///< next unread byte in block_
+  std::size_t end_ = 0;     ///< one past the last valid byte in block_
+  long block_offset_ = 0;   ///< file offset of block_[0]
   Mode mode_ = Mode::kStrict;
   bool swapped_ = false;
   bool nanos_ = false;

@@ -27,8 +27,9 @@ class NgReader {
   /// Block.
   static std::optional<NgReader> open(const std::string& path);
 
-  /// Next packet frame; nullopt at end of stream (check error()).
-  std::optional<Frame> next();
+  /// Reads the next packet frame into `out`, reusing its buffer; false at
+  /// end of stream (check error()).
+  bool next(Frame& out);
 
   const std::string& error() const noexcept { return error_; }
   std::uint64_t frames_read() const noexcept { return frames_read_; }
@@ -59,6 +60,7 @@ class NgReader {
   void parse_interface_block(const std::vector<std::uint8_t>& body);
 
   std::unique_ptr<std::FILE, FileCloser> file_;
+  std::vector<std::uint8_t> body_;  ///< current block body, reused
   bool swapped_ = false;
   std::vector<Interface> interfaces_;
   std::uint64_t frames_read_ = 0;

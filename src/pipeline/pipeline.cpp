@@ -263,6 +263,8 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
     : config_{std::move(config)}, sink_{std::move(sink)} {
   if (config_.shards == 0) config_.shards = 1;
   dispatch_.resize(config_.shards);
+  if (config_.shards > 1)
+    routes_.reserve(config_.sniffer.table.expected_flows);
   // Record orientation splits pairs exactly where the flow table splits
   // flows: same idle timeout, same sweep cadence.
   flowexport::OrienterConfig orienter_config;
@@ -406,47 +408,41 @@ ShardedAnalyzer::~ShardedAnalyzer() { finish(); }
 
 namespace {
 
-// The client side is the dispatch key. For DNS traffic the client is
-// whoever is NOT on port 53 (responses must land on the same shard as
-// the flows they will label); for everything else the flow-orientation
-// rules decide.
-net::Ipv4Address dispatch_client(const packet::DecodedPacket& pkt) {
-  if (pkt.is_udp() && pkt.udp().src_port == dns::kDnsPort) return pkt.dst_v4();
-  if (pkt.is_udp() && pkt.udp().dst_port == dns::kDnsPort) return pkt.src_v4();
-  if (pkt.is_tcp() && pkt.tcp().src_port == dns::kDnsPort) return pkt.dst_v4();
-  if (pkt.is_tcp() && pkt.tcp().dst_port == dns::kDnsPort) return pkt.src_v4();
-  return flow::orient(pkt).key.client_ip;
+std::size_t shard_of(net::Ipv4Address client, std::size_t shards) {
+  return static_cast<std::size_t>(splitmix64(client.value()) %
+                                  static_cast<std::uint64_t>(shards));
 }
 
-std::size_t shard_for_packet(const packet::DecodedPacket& pkt,
-                             std::size_t shards) {
-  return static_cast<std::size_t>(
-      splitmix64(dispatch_client(pkt).value()) %
-      static_cast<std::uint64_t>(shards));
+// The client side is the dispatch key. For DNS traffic the client is
+// whoever is NOT on port 53 (responses must land on the same shard as
+// the flows they will label); for everything else the flow table's own
+// orientation rule decides.
+net::Ipv4Address dispatch_client(const packet::HeaderPeek& h) {
+  if (h.src_port == dns::kDnsPort) return h.dst;
+  if (h.dst_port == dns::kDnsPort) return h.src;
+  return flow::source_is_client(h.src, h.src_port, h.dst, h.dst_port,
+                                h.tcp_flags)
+             ? h.src
+             : h.dst;
 }
 
 // Direction-free connection identity: both directions of a 5-tuple map to
 // the same key, with the lexicographically smaller (ip, port) endpoint in
 // the client slots. Purely an index into the routing table — it says
 // nothing about which side is the real client.
-flow::FlowKey route_key(const packet::DecodedPacket& pkt) {
+flow::FlowKey route_key(const packet::HeaderPeek& h) {
   flow::FlowKey key;
-  key.transport =
-      pkt.is_tcp() ? flow::Transport::kTcp : flow::Transport::kUdp;
-  const net::Ipv4Address src = pkt.src_v4();
-  const net::Ipv4Address dst = pkt.dst_v4();
-  const std::uint16_t sport = pkt.src_port();
-  const std::uint16_t dport = pkt.dst_port();
-  if (std::tie(src, sport) <= std::tie(dst, dport)) {
-    key.client_ip = src;
-    key.client_port = sport;
-    key.server_ip = dst;
-    key.server_port = dport;
+  key.transport = h.is_tcp() ? flow::Transport::kTcp : flow::Transport::kUdp;
+  if (std::tie(h.src, h.src_port) <= std::tie(h.dst, h.dst_port)) {
+    key.client_ip = h.src;
+    key.client_port = h.src_port;
+    key.server_ip = h.dst;
+    key.server_port = h.dst_port;
   } else {
-    key.client_ip = dst;
-    key.client_port = dport;
-    key.server_ip = src;
-    key.server_port = sport;
+    key.client_ip = h.dst;
+    key.client_port = h.dst_port;
+    key.server_ip = h.src;
+    key.server_port = h.src_port;
   }
   return key;
 }
@@ -456,19 +452,16 @@ flow::FlowKey route_key(const packet::DecodedPacket& pkt) {
 std::size_t ShardedAnalyzer::shard_for(net::BytesView frame,
                                        std::size_t shards) {
   if (shards <= 1) return 0;
-  packet::DecodeFailure failure = packet::DecodeFailure::kNone;
-  const auto pkt = packet::decode_frame(frame, util::Timestamp{}, failure);
-  if (!pkt || !pkt->is_ipv4()) return 0;
-  return shard_for_packet(*pkt, shards);
+  packet::HeaderPeek peek;
+  if (!packet::peek_headers(frame, peek)) return 0;
+  return shard_of(dispatch_client(peek), shards);
 }
 
 std::size_t ShardedAnalyzer::route_frame(net::BytesView frame,
                                          util::Timestamp ts) {
   if (config_.shards <= 1) return 0;
-  packet::DecodeFailure failure = packet::DecodeFailure::kNone;
-  const auto pkt = packet::decode_frame(frame, util::Timestamp{}, failure);
-  if (!pkt || !pkt->is_ipv4()) return 0;
-  if (!pkt->is_tcp() && !pkt->is_udp()) return 0;
+  packet::HeaderPeek peek;
+  if (!packet::peek_headers(frame, peek)) return 0;
 
   // Connection affinity: the first packet of a 5-tuple picks the shard by
   // the stateless heuristic; every later packet — in either direction —
@@ -479,22 +472,20 @@ std::size_t ShardedAnalyzer::route_frame(net::BytesView frame,
   const util::Duration idle = config_.sniffer.table.idle_timeout;
   if (++routed_packets_ % config_.sniffer.table.sweep_interval_packets ==
       0) {
-    for (auto it = routes_.begin(); it != routes_.end();) {
-      if (ts - it->second.last > idle)
-        it = routes_.erase(it);
-      else
-        ++it;
-    }
+    routes_.erase_if(
+        [&](const auto& entry) { return ts - entry.second.last > idle; });
   }
-  const flow::FlowKey key = route_key(*pkt);
-  const auto it = routes_.find(key);
-  if (it != routes_.end() && !(ts - it->second.last > idle)) {
-    if (ts > it->second.last) it->second.last = ts;
-    return it->second.shard;
+  // dnh-analyze: allow(alloc, FlatHash growth past the expected_flows
+  // reservation -- amortized doubling, absent in steady state)
+  const auto [it, fresh] = routes_.try_emplace(route_key(peek));
+  Route& route = it->second;
+  if (fresh || ts - route.last > idle) {
+    route.shard = shard_of(dispatch_client(peek), config_.shards);
+    route.last = ts;
+  } else if (ts > route.last) {
+    route.last = ts;
   }
-  const std::size_t shard = shard_for_packet(*pkt, config_.shards);
-  routes_[key] = Route{shard, ts};
-  return shard;
+  return route.shard;
 }
 
 void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
@@ -569,14 +560,12 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   // meet on one shard. Records are per-flow (not per-packet), so the
   // lossless control-item push is cheap enough.
   const std::size_t shard =
-      config_.shards <= 1
-          ? 0
-          : static_cast<std::size_t>(
-                splitmix64(item.record.key.client_ip.value()) %
-                static_cast<std::uint64_t>(config_.shards));
+      config_.shards <= 1 ? 0
+                          : shard_of(item.record.key.client_ip, config_.shards);
   push_control(shard, std::move(item));
 }
 
+// dnh-analyze: hot
 void ShardedAnalyzer::dispatch_frame(net::BytesView frame,
                                      util::Timestamp ts) {
   PipelineMetrics& m = pipeline_metrics();
@@ -586,7 +575,9 @@ void ShardedAnalyzer::dispatch_frame(net::BytesView frame,
   Item& staged = stage.items[stage.count++];
   staged.kind = Item::Kind::kFrame;
   staged.ts = ts;
-  staged.frame.assign(frame.begin(), frame.end());  // recycled capacity
+  // dnh-analyze: allow(alloc, assign recycles the slot's buffer capacity;
+  // it allocates only while that buffer is still growing)
+  staged.frame.assign(frame.begin(), frame.end());
   if (stage.count == kDispatchBatch ||
       (stage.congested && config_.backpressure == BackpressurePolicy::kDrop))
     flush_stage(shard);

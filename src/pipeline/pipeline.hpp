@@ -45,7 +45,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/live.hpp"
@@ -59,6 +58,7 @@
 #include "obs/trace.hpp"
 #include "pipeline/spill.hpp"
 #include "pipeline/supervisor.hpp"
+#include "util/flat_hash.hpp"
 #include "util/time.hpp"
 
 namespace dnh::pcap {
@@ -253,9 +253,11 @@ class ShardedAnalyzer {
 
   /// The stateless dispatch heuristic, exposed for tests and dimensioning
   /// studies: which shard (0..shards-1) a frame would route to on first
-  /// sight. Pure: client address extracted by the flow-orientation rules
-  /// (DNS frames key on the client side of the response), hashed, reduced
-  /// mod `shards`. Undecodable and non-IPv4 frames route to shard 0.
+  /// sight. Pure: client address read by a fixed-offset header peek
+  /// (packet::peek_headers) and picked by the flow table's orientation
+  /// rule (DNS frames key on the client side of the response), hashed,
+  /// reduced mod `shards`. Frames that are not IPv4 TCP/UDP route to
+  /// shard 0.
   ///
   /// The live dispatcher wraps this in a connection-affinity table
   /// (route_frame): the first packet of a 5-tuple pins its shard, and
@@ -265,6 +267,14 @@ class ShardedAnalyzer {
   /// ephemeral with server > client) would have their two directions
   /// hash to different shards and fork into half-flows.
   static std::size_t shard_for(net::BytesView frame, std::size_t shards);
+
+  /// The live dispatcher's routing decision for one frame, affinity table
+  /// included: shard_for on the first packet of a connection, then the
+  /// pinned shard for every later packet in either direction until the
+  /// connection idles out. on_frame routes through it; it is public so a
+  /// test can check the shard sequence against a decode-based reference.
+  /// Dispatcher thread only.
+  std::size_t route_frame(net::BytesView frame, util::Timestamp ts);
 
  private:
   struct Item;
@@ -284,7 +294,6 @@ class ShardedAnalyzer {
   // Cross-thread state is either a lock-free channel (SpscRing), a
   // mutex-guarded inbox (MergeInbox, annotated), or atomics
   // (sampled_peaks_).
-  std::size_t route_frame(net::BytesView frame, util::Timestamp ts);
   void dispatch_frame(net::BytesView frame, util::Timestamp ts);
   /// Drains shard's dispatcher-side staging buffer into its ring in one
   /// batched produce (dropping or blocking per the backpressure policy).
@@ -319,14 +328,15 @@ class ShardedAnalyzer {
   // shard. Entries expire on the flow table's idle timeout (checked
   // against the arriving packet, so expiry mirrors the table's
   // arrival-driven flow split) and are swept on its cadence to bound
-  // memory. Dispatcher-thread-only; no synchronisation.
+  // memory. Flat open addressing, reserved to the flow table's
+  // expected_flows. Dispatcher-thread-only; no synchronisation.
   struct Route {
     std::size_t shard = 0;
     util::Timestamp last;
   };
   // dnh-lint: bounded(sweep_interval_packets) idle entries expire against
   // the arriving packet and are swept on the flow table's cadence.
-  std::unordered_map<flow::FlowKey, Route> routes_;
+  util::FlatHash<flow::FlowKey, Route> routes_;
   /// Record orientation state (flow-export ingest). Dispatcher-thread-only.
   flowexport::RecordOrienter orienter_;
   std::uint64_t routed_packets_ = 0;

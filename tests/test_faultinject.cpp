@@ -149,10 +149,11 @@ std::uint64_t read_all(const std::string& p, pcap::Reader::Mode mode,
                        pcap::CorruptionStats* stats = nullptr,
                        std::string* error = nullptr) {
   auto reader = pcap::Reader::open(p, mode);
+  pcap::Frame scratch;
   EXPECT_TRUE(reader);
   if (!reader) return 0;
   std::uint64_t n = 0;
-  while (reader->next()) ++n;
+  while (reader->next(scratch)) ++n;
   if (stats) *stats = reader->corruption();
   if (error) *error = reader->error();
   return n;

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "net/checksum.hpp"
 #include "packet/build.hpp"
 #include "packet/decode.hpp"
 #include "packet/headers.hpp"
+#include "util/rng.hpp"
 
 namespace dnh::packet {
 namespace {
@@ -278,6 +283,212 @@ TEST(Decode, RejectsTruncatedVlanTag) {
   tagged.push_back(0x00);
   tagged.push_back(0x00);  // tag cut short
   EXPECT_FALSE(decode_frame(tagged, {}));
+}
+
+// ---- header peek vs decode_frame ------------------------------------------
+//
+// peek_headers must accept exactly the frames decode_frame decodes as IPv4
+// TCP/UDP, with identical routing fields: the pipeline dispatcher routes
+// on the peek while each shard's flow table orients on the decode.
+
+/// decode_frame's answer, reduced to the fields peek_headers reports.
+std::optional<HeaderPeek> decoded_peek(net::BytesView frame) {
+  const auto pkt = decode_frame(frame, {});
+  if (!pkt || !pkt->is_ipv4()) return std::nullopt;
+  HeaderPeek out;
+  out.src = pkt->src_v4();
+  out.dst = pkt->dst_v4();
+  out.src_port = pkt->src_port();
+  out.dst_port = pkt->dst_port();
+  out.protocol = pkt->is_tcp() ? kProtoTcp : kProtoUdp;
+  out.tcp_flags = pkt->is_tcp() ? pkt->tcp().flags : 0;
+  return out;
+}
+
+/// Tallies, per input class, how many frames both sides accepted and
+/// rejected, so a test can prove it exercised both outcomes.
+struct PeekTally {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+};
+
+void expect_peek_matches_decode(net::BytesView frame, PeekTally& tally,
+                                const std::string& what) {
+  HeaderPeek peek;
+  const bool accepted = peek_headers(frame, peek);
+  const auto ref = decoded_peek(frame);
+  ASSERT_EQ(accepted, ref.has_value()) << what << " (" << frame.size()
+                                       << " bytes)";
+  if (!ref) {
+    ++tally.rejected;
+    return;
+  }
+  ++tally.accepted;
+  EXPECT_EQ(peek.src, ref->src) << what;
+  EXPECT_EQ(peek.dst, ref->dst) << what;
+  EXPECT_EQ(peek.src_port, ref->src_port) << what;
+  EXPECT_EQ(peek.dst_port, ref->dst_port) << what;
+  EXPECT_EQ(peek.protocol, ref->protocol) << what;
+  EXPECT_EQ(peek.tcp_flags, ref->tcp_flags) << what;
+}
+
+FrameSpec random_spec(util::Rng& rng) {
+  FrameSpec spec = test_spec();
+  spec.src_ip = net::Ipv4Address{static_cast<std::uint32_t>(rng.next_u64())};
+  spec.dst_ip = net::Ipv4Address{static_cast<std::uint32_t>(rng.next_u64())};
+  spec.src_port = static_cast<std::uint16_t>(rng.next_u64());
+  spec.dst_port = static_cast<std::uint16_t>(rng.next_u64());
+  return spec;
+}
+
+/// A valid TCP or UDP frame with a random 5-tuple, flags and payload.
+net::Bytes random_frame(util::Rng& rng) {
+  const net::Bytes payload(rng.index(40), 0x5a);
+  if (rng.chance(0.5)) return build_udp_frame(random_spec(rng), payload);
+  return build_tcp_frame(random_spec(rng),
+                         static_cast<std::uint8_t>(rng.next_u64()),
+                         static_cast<std::uint32_t>(rng.next_u64()), 0,
+                         payload);
+}
+
+/// Inserts `tags` 802.1Q/802.1ad tags after the MAC addresses.
+net::Bytes with_vlan_tags(net::Bytes frame, int tags, util::Rng& rng) {
+  for (int i = 0; i < tags; ++i) {
+    const std::uint16_t tpid = rng.chance(0.5) ? 0x8100 : 0x88a8;
+    const net::Bytes tag{static_cast<std::uint8_t>(tpid >> 8),
+                         static_cast<std::uint8_t>(tpid & 0xff),
+                         static_cast<std::uint8_t>(rng.next_u64()),
+                         static_cast<std::uint8_t>(rng.next_u64())};
+    frame.insert(frame.begin() + 12, tag.begin(), tag.end());
+  }
+  return frame;
+}
+
+TEST(HeaderPeek, AgreesWithDecodeOnValidAndVlanTaggedFrames) {
+  util::Rng rng{1301};
+  PeekTally tally;
+  for (int i = 0; i < 2000; ++i) {
+    const int tags = static_cast<int>(rng.index(6));  // 0..5; 5 is one too many
+    const net::Bytes frame = with_vlan_tags(random_frame(rng), tags, rng);
+    expect_peek_matches_decode(frame, tally,
+                               std::to_string(tags) + " VLAN tags");
+  }
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_GT(tally.rejected, 0u);  // the 5-tag frames
+}
+
+TEST(HeaderPeek, AgreesWithDecodeOnEveryTruncation) {
+  util::Rng rng{1302};
+  PeekTally tally;
+  for (int i = 0; i < 40; ++i) {
+    const net::Bytes frame =
+        with_vlan_tags(random_frame(rng), static_cast<int>(rng.index(3)), rng);
+    for (std::size_t len = 0; len <= frame.size(); ++len)
+      expect_peek_matches_decode(net::BytesView{frame.data(), len}, tally,
+                                 "truncated at " + std::to_string(len));
+  }
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+}
+
+TEST(HeaderPeek, AgreesWithDecodeOnMutatedFrames) {
+  util::Rng rng{1303};
+  PeekTally tally;
+  for (int i = 0; i < 20000; ++i) {
+    net::Bytes frame =
+        with_vlan_tags(random_frame(rng), static_cast<int>(rng.index(2)), rng);
+    // Mutations land in the headers (first 64 bytes), where the checks are.
+    const int flips = 1 + static_cast<int>(rng.index(3));
+    for (int f = 0; f < flips; ++f)
+      frame[rng.index(std::min<std::size_t>(frame.size(), 64))] =
+          static_cast<std::uint8_t>(rng.next_u64());
+    expect_peek_matches_decode(frame, tally, "mutated");
+  }
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+}
+
+TEST(HeaderPeek, AgreesWithDecodeOnRandomBytes) {
+  util::Rng rng{1304};
+  PeekTally tally;
+  for (int i = 0; i < 20000; ++i) {
+    net::Bytes frame(rng.index(96));
+    for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next_u64());
+    // Half the inputs get an IPv4 EtherType and version nibble, so random
+    // bytes reach the IP and L4 checks instead of stopping at L2.
+    if (frame.size() > 14 && rng.chance(0.5)) {
+      frame[12] = 0x08;
+      frame[13] = 0x00;
+      frame[14] = static_cast<std::uint8_t>(0x40 | (frame[14] & 0x0f));
+      if (frame.size() > 23)
+        frame[23] = rng.chance(0.5) ? kProtoTcp : kProtoUdp;
+    }
+    expect_peek_matches_decode(frame, tally, "random bytes");
+  }
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+}
+
+TEST(HeaderPeek, RejectsIpv6ThatDecodeAccepts) {
+  net::ByteWriter w;
+  EthernetHeader eth;
+  eth.ether_type = kEtherTypeIpv6;
+  eth.serialize(w);
+  Ipv6Header ip6;
+  ip6.payload_length = 20;
+  ip6.next_header = kProtoTcp;
+  ip6.serialize(w);
+  TcpHeader tcp;
+  tcp.src_port = 443;
+  tcp.dst_port = 50000;
+  tcp.serialize(w);
+  const net::Bytes frame = w.take();
+  ASSERT_TRUE(decode_frame(frame, {}));  // a valid IPv6 TCP packet...
+  PeekTally tally;
+  expect_peek_matches_decode(frame, tally, "ipv6");  // ...but not IPv4
+  EXPECT_EQ(tally.rejected, 1u);
+}
+
+TEST(HeaderPeek, AgreesWithDecodeWhenLengthFieldsLie) {
+  util::Rng rng{1305};
+  PeekTally tally;
+  constexpr std::size_t kIp = 14;  // untagged Ethernet
+  for (int i = 0; i < 200; ++i) {
+    const net::Bytes payload(rng.index(64), 0xa5);
+    const FrameSpec spec = random_spec(rng);
+    const net::Bytes tcp =
+        build_tcp_frame(spec, tcpflags::kSyn, 1, 0, payload);
+    const net::Bytes udp = build_udp_frame(spec, payload);
+    for (std::uint8_t ihl = 0; ihl < 16; ++ihl) {  // IHL: 0..60 bytes
+      net::Bytes frame = rng.chance(0.5) ? tcp : udp;
+      frame[kIp] = static_cast<std::uint8_t>(0x40 | ihl);
+      expect_peek_matches_decode(frame, tally, "ihl " + std::to_string(ihl));
+    }
+    for (std::uint8_t offset = 0; offset < 16; ++offset) {  // TCP data offset
+      net::Bytes frame = tcp;
+      frame[kIp + 20 + 12] = static_cast<std::uint8_t>(offset << 4);
+      expect_peek_matches_decode(frame, tally,
+                                 "tcp offset " + std::to_string(offset));
+    }
+    for (const std::uint16_t length :
+         {0, 1, 7, 8, 9, 0xffff,
+          static_cast<int>(rng.next_u64() & 0xffff)}) {  // UDP length
+      net::Bytes frame = udp;
+      frame[kIp + 20 + 4] = static_cast<std::uint8_t>(length >> 8);
+      frame[kIp + 20 + 5] = static_cast<std::uint8_t>(length);
+      expect_peek_matches_decode(frame, tally,
+                                 "udp length " + std::to_string(length));
+    }
+    for (const std::uint16_t total : {0, 19, 20, 21, 0xffff}) {  // IPv4 total
+      net::Bytes frame = rng.chance(0.5) ? tcp : udp;
+      frame[kIp + 2] = static_cast<std::uint8_t>(total >> 8);
+      frame[kIp + 3] = static_cast<std::uint8_t>(total);
+      expect_peek_matches_decode(frame, tally,
+                                 "total length " + std::to_string(total));
+    }
+  }
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 }  // namespace

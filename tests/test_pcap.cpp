@@ -2,12 +2,45 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <new>
 
 #include "pcap/pcap.hpp"
+#include "pcap/pcapng.hpp"
+
+// ---- global allocation counter ---------------------------------------------
+// Counts every operator-new in the binary, so a test can snapshot it around
+// a steady-state read loop to prove the read path stays off the heap.
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// GCC pairs the replaced operator new (malloc) with the replaced delete
+// (free) just fine; its heuristic only sees "free() of new-ed pointer".
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc{};
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dnh::pcap {
 namespace {
@@ -49,20 +82,21 @@ TEST_F(PcapTest, WriteReadRoundTrip) {
     writer->write(make_frame(2'500'456, {9, 8, 7}));
   }
   auto reader = Reader::open(p);
+  Frame scratch;
   ASSERT_TRUE(reader);
   EXPECT_EQ(reader->link_type(), kLinktypeEthernet);
 
-  auto f1 = reader->next();
-  ASSERT_TRUE(f1);
-  EXPECT_EQ(f1->timestamp.micros_since_epoch(), 1'000'123);
-  EXPECT_EQ(f1->data, (net::Bytes{1, 2, 3, 4}));
-  EXPECT_EQ(f1->original_length, 4u);
+  Frame f1;
+  ASSERT_TRUE(reader->next(f1));
+  EXPECT_EQ(f1.timestamp.micros_since_epoch(), 1'000'123);
+  EXPECT_EQ(f1.data, (net::Bytes{1, 2, 3, 4}));
+  EXPECT_EQ(f1.original_length, 4u);
 
-  auto f2 = reader->next();
-  ASSERT_TRUE(f2);
-  EXPECT_EQ(f2->data.size(), 3u);
+  Frame f2;
+  ASSERT_TRUE(reader->next(f2));
+  EXPECT_EQ(f2.data.size(), 3u);
 
-  EXPECT_FALSE(reader->next());
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_TRUE(reader->error().empty()) << reader->error();
   EXPECT_EQ(reader->frames_read(), 2u);
 }
@@ -71,8 +105,9 @@ TEST_F(PcapTest, EmptyFileHasNoFramesButValidHeader) {
   const std::string p = path("empty.pcap");
   { ASSERT_TRUE(Writer::create(p)); }
   auto reader = Reader::open(p);
+  Frame scratch;
   ASSERT_TRUE(reader);
-  EXPECT_FALSE(reader->next());
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_TRUE(reader->error().empty());
 }
 
@@ -107,8 +142,9 @@ TEST_F(PcapTest, TruncatedRecordReportsError) {
   // Chop the last 4 bytes of the record body.
   fs::resize_file(p, fs::file_size(p) - 4);
   auto reader = Reader::open(p);
+  Frame scratch;
   ASSERT_TRUE(reader);
-  EXPECT_FALSE(reader->next());
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_FALSE(reader->error().empty());
 }
 
@@ -124,8 +160,9 @@ TEST_F(PcapTest, ImplausibleRecordLengthReportsError) {
   out.write(reinterpret_cast<const char*>(rec), sizeof rec);
   out.close();
   auto reader = Reader::open(p);
+  Frame scratch;
   ASSERT_TRUE(reader);
-  EXPECT_FALSE(reader->next());
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_FALSE(reader->error().empty());
 }
 
@@ -154,10 +191,10 @@ TEST_F(PcapTest, ReadsSwappedByteOrder) {
   auto reader = Reader::open(p);
   ASSERT_TRUE(reader);
   EXPECT_EQ(reader->link_type(), kLinktypeEthernet);
-  auto f = reader->next();
-  ASSERT_TRUE(f);
-  EXPECT_EQ(f->timestamp.micros_since_epoch(), 5'000'010);
-  EXPECT_EQ(f->data, (net::Bytes{0xde, 0xad}));
+  Frame f;
+  ASSERT_TRUE(reader->next(f));
+  EXPECT_EQ(f.timestamp.micros_since_epoch(), 5'000'010);
+  EXPECT_EQ(f.data, (net::Bytes{0xde, 0xad}));
 }
 
 TEST_F(PcapTest, NanosecondMagicConvertedToMicros) {
@@ -176,9 +213,9 @@ TEST_F(PcapTest, NanosecondMagicConvertedToMicros) {
 
   auto reader = Reader::open(p);
   ASSERT_TRUE(reader);
-  auto f = reader->next();
-  ASSERT_TRUE(f);
-  EXPECT_EQ(f->timestamp.micros_since_epoch(), 7'000'000 + 123'456);
+  Frame f;
+  ASSERT_TRUE(reader->next(f));
+  EXPECT_EQ(f.timestamp.micros_since_epoch(), 7'000'000 + 123'456);
 }
 
 TEST_F(PcapTest, OriginalLengthPreservedWhenLargerThanCaptured) {
@@ -192,10 +229,10 @@ TEST_F(PcapTest, OriginalLengthPreservedWhenLargerThanCaptured) {
   }
   auto reader = Reader::open(p);
   ASSERT_TRUE(reader);
-  auto f = reader->next();
-  ASSERT_TRUE(f);
-  EXPECT_EQ(f->data.size(), 3u);
-  EXPECT_EQ(f->original_length, 1500u);
+  Frame f;
+  ASSERT_TRUE(reader->next(f));
+  EXPECT_EQ(f.data.size(), 3u);
+  EXPECT_EQ(f.original_length, 1500u);
 }
 
 TEST_F(PcapTest, ManyFramesStreamCleanly) {
@@ -208,9 +245,10 @@ TEST_F(PcapTest, ManyFramesStreamCleanly) {
     EXPECT_EQ(writer->frames_written(), 5000u);
   }
   auto reader = Reader::open(p);
+  Frame scratch;
   ASSERT_TRUE(reader);
   std::uint64_t n = 0;
-  while (reader->next()) ++n;
+  while (reader->next(scratch)) ++n;
   EXPECT_EQ(n, 5000u);
   EXPECT_TRUE(reader->error().empty());
 }
@@ -249,21 +287,23 @@ TEST_F(PcapTest, ResyncSkipsMidFileGarbage) {
   // Strict mode: the garbage terminates the stream with an error.
   {
     auto reader = Reader::open(p);
+    Frame scratch;
     ASSERT_TRUE(reader);
-    ASSERT_TRUE(reader->next());
-    EXPECT_FALSE(reader->next());
+    ASSERT_TRUE(reader->next(scratch));
+    EXPECT_FALSE(reader->next(scratch));
     EXPECT_FALSE(reader->error().empty());
   }
   // Resync mode: both frames recovered, damage accounted.
   auto reader = Reader::open(p, Reader::Mode::kResync);
+  Frame scratch;
   ASSERT_TRUE(reader);
-  const auto f1 = reader->next();
-  ASSERT_TRUE(f1);
-  EXPECT_EQ(f1->data, (net::Bytes{1, 2, 3, 4}));
-  const auto f2 = reader->next();
-  ASSERT_TRUE(f2);
-  EXPECT_EQ(f2->data, (net::Bytes{5, 6, 7, 8}));
-  EXPECT_FALSE(reader->next());
+  Frame f1;
+  ASSERT_TRUE(reader->next(f1));
+  EXPECT_EQ(f1.data, (net::Bytes{1, 2, 3, 4}));
+  Frame f2;
+  ASSERT_TRUE(reader->next(f2));
+  EXPECT_EQ(f2.data, (net::Bytes{5, 6, 7, 8}));
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_TRUE(reader->error().empty());
   EXPECT_EQ(reader->corruption().resyncs, 1u);
   EXPECT_EQ(reader->corruption().bytes_skipped, 100u);
@@ -286,9 +326,10 @@ TEST_F(PcapTest, ResyncSkipsRecordWithLyingLength) {
   dump(p, bytes);
 
   auto reader = Reader::open(p, Reader::Mode::kResync);
+  Frame scratch;
   ASSERT_TRUE(reader);
   std::uint64_t frames = 0;
-  while (reader->next()) ++frames;
+  while (reader->next(scratch)) ++frames;
   // The lying record is unrecoverable; its neighbours survive.
   EXPECT_EQ(frames, 2u);
   EXPECT_TRUE(reader->error().empty());
@@ -309,9 +350,10 @@ TEST_F(PcapTest, ResyncCountsTruncatedTail) {
   dump(p, bytes);
 
   auto reader = Reader::open(p, Reader::Mode::kResync);
+  Frame scratch;
   ASSERT_TRUE(reader);
-  ASSERT_TRUE(reader->next());
-  EXPECT_FALSE(reader->next());
+  ASSERT_TRUE(reader->next(scratch));
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_TRUE(reader->error().empty());  // resync mode never sets error
   EXPECT_EQ(reader->corruption().truncated_tail, 1u);
   EXPECT_EQ(reader->corruption().events(), 1u);
@@ -326,18 +368,209 @@ TEST_F(PcapTest, ResyncModeOnCleanFileIsInvisible) {
       writer->write(make_frame(i * 1000, {static_cast<std::uint8_t>(i)}));
   }
   auto reader = Reader::open(p, Reader::Mode::kResync);
+  Frame scratch;
   ASSERT_TRUE(reader);
   std::uint64_t n = 0;
-  while (reader->next()) ++n;
+  while (reader->next(scratch)) ++n;
   EXPECT_EQ(n, 100u);
   EXPECT_EQ(reader->corruption().events(), 0u);
   EXPECT_EQ(reader->corruption().bytes_skipped, 0u);
 }
 
+// ------------------------------------------------ block-buffered reading
+
+constexpr std::size_t kGlobalHeaderBytes = 24;
+constexpr std::size_t kRecordHeaderBytes = 16;
+
+/// A frame of `size` bytes whose content encodes `index`.
+Frame numbered_frame(std::size_t index, std::size_t size) {
+  Frame f;
+  f.timestamp = util::Timestamp::from_micros(
+      1'000'000 + static_cast<std::int64_t>(index) * 1000);
+  f.data.resize(size);
+  for (std::size_t i = 0; i < size; ++i)
+    f.data[i] = static_cast<std::uint8_t>(index * 31 + i);
+  f.original_length = static_cast<std::uint32_t>(size);
+  return f;
+}
+
+/// Frames laid out so that the first read-block boundary (file offset
+/// kReadBlockBytes) falls `split` bytes into frame 5's record, which
+/// carries a `body`-byte body. Three more frames follow it.
+std::vector<Frame> frames_split_at(std::size_t split, std::size_t body) {
+  std::vector<Frame> frames;
+  std::size_t offset = kGlobalHeaderBytes;
+  for (std::size_t i = 0; i < 4; ++i) {
+    frames.push_back(numbered_frame(i, 200'000));
+    offset += kRecordHeaderBytes + 200'000;
+  }
+  // Frame 4 pads so frame 5 starts at kReadBlockBytes - split.
+  const std::size_t start = kReadBlockBytes - split;
+  frames.push_back(numbered_frame(4, start - offset - kRecordHeaderBytes));
+  frames.push_back(numbered_frame(5, body));
+  for (std::size_t i = 6; i < 9; ++i) frames.push_back(numbered_frame(i, 64));
+  return frames;
+}
+
+void write_frames(const std::string& p, const std::vector<Frame>& frames) {
+  auto writer = Writer::create(p);
+  ASSERT_TRUE(writer);
+  for (const auto& f : frames) writer->write(f);
+}
+
+/// Reads every frame of `p`; fails the test on a reader error.
+std::vector<Frame> read_frames(const std::string& p,
+                               Reader::Mode mode = Reader::Mode::kStrict) {
+  std::vector<Frame> out;
+  auto reader = Reader::open(p, mode);
+  EXPECT_TRUE(reader);
+  if (!reader) return out;
+  Frame frame;
+  while (reader->next(frame)) out.push_back(frame);
+  EXPECT_TRUE(reader->error().empty()) << reader->error();
+  return out;
+}
+
+void expect_same_frames(const std::vector<Frame>& got,
+                        const std::vector<Frame>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].timestamp, want[i].timestamp) << "frame " << i;
+    EXPECT_EQ(got[i].original_length, want[i].original_length) << "frame " << i;
+    EXPECT_TRUE(got[i].data == want[i].data) << "frame " << i;
+  }
+}
+
+TEST_F(PcapTest, RecordStraddlingTheBlockBoundaryReadsIntact) {
+  // At the record start, inside the header, at the body start, mid-body.
+  for (const std::size_t split : {std::size_t{0}, std::size_t{8},
+                                  kRecordHeaderBytes, std::size_t{700}}) {
+    const std::string p = path("straddle.pcap");
+    const auto frames = frames_split_at(split, 1500);
+    write_frames(p, frames);
+    expect_same_frames(read_frames(p), frames);
+  }
+}
+
+TEST_F(PcapTest, MaxSizeRecordReadsAcrossTheBlockBoundary) {
+  const std::string p = path("max.pcap");
+  const auto frames = frames_split_at(1000, kMaxRecordBytes);
+  write_frames(p, frames);
+  expect_same_frames(read_frames(p), frames);
+
+  // One byte more is corruption, and strict mode says so.
+  const std::string over = path("over.pcap");
+  write_frames(over, {numbered_frame(0, 64),
+                      numbered_frame(1, kMaxRecordBytes + 1)});
+  auto reader = Reader::open(over);
+  ASSERT_TRUE(reader);
+  Frame frame;
+  EXPECT_TRUE(reader->next(frame));
+  EXPECT_FALSE(reader->next(frame));
+  EXPECT_EQ(reader->error(), "implausible record length");
+}
+
+TEST_F(PcapTest, ResyncRecoversDamageAfterTheFirstBlock) {
+  const std::string p = path("late_damage.pcap");
+  std::vector<Frame> frames;
+  for (std::size_t i = 0; i < 3000; ++i)
+    frames.push_back(numbered_frame(i, 1000));
+  write_frames(p, frames);
+  // Splice 300 bytes of garbage between two records ~1.5 MiB in, deep in
+  // the second read block.
+  const std::size_t record = kRecordHeaderBytes + 1000;
+  const std::size_t at = kGlobalHeaderBytes + 1500 * record;
+  ASSERT_GT(at, kReadBlockBytes);
+  auto bytes = slurp(p);
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), 300, 0xee);
+  dump(p, bytes);
+
+  {
+    auto reader = Reader::open(p);
+    ASSERT_TRUE(reader);
+    Frame frame;
+    std::size_t n = 0;
+    while (reader->next(frame)) ++n;
+    EXPECT_EQ(n, 1500u);
+    EXPECT_EQ(reader->error(), "implausible record length");
+  }
+  auto reader = Reader::open(p, Reader::Mode::kResync);
+  ASSERT_TRUE(reader);
+  std::vector<Frame> got;
+  Frame frame;
+  while (reader->next(frame)) got.push_back(frame);
+  expect_same_frames(got, frames);
+  EXPECT_EQ(reader->corruption().resyncs, 1u);
+  EXPECT_EQ(reader->corruption().bytes_skipped, 300u);
+  EXPECT_EQ(reader->corruption().truncated_tail, 0u);
+}
+
+TEST_F(PcapTest, TruncatedTailInsideABlockEndsTheStream) {
+  const std::string p = path("tail_in_block.pcap");
+  std::vector<Frame> frames;
+  for (std::size_t i = 0; i < 1200; ++i)
+    frames.push_back(numbered_frame(i, 1000));
+  write_frames(p, frames);
+  // Cut 400 bytes into the last record's body: the cut lies in the second
+  // block, behind a run of whole records in the same block.
+  const std::size_t size = fs::file_size(p);
+  ASSERT_GT(size, kReadBlockBytes);
+  fs::resize_file(p, size - 600);
+  frames.pop_back();
+
+  {
+    auto reader = Reader::open(p);
+    ASSERT_TRUE(reader);
+    Frame frame;
+    std::size_t n = 0;
+    while (reader->next(frame)) ++n;
+    EXPECT_EQ(n, frames.size());
+    EXPECT_EQ(reader->error(), "truncated record body");
+  }
+  auto reader = Reader::open(p, Reader::Mode::kResync);
+  ASSERT_TRUE(reader);
+  std::vector<Frame> got;
+  Frame frame;
+  while (reader->next(frame)) got.push_back(frame);
+  expect_same_frames(got, frames);
+  EXPECT_TRUE(reader->error().empty());
+  EXPECT_EQ(reader->corruption().truncated_tail, 1u);
+  EXPECT_EQ(reader->corruption().bytes_skipped, kRecordHeaderBytes + 400);
+}
+
+TEST_F(PcapTest, SteadyStateReadAnyCaptureAllocatesNothing) {
+  // Over 2 MiB of frames, largest first, so the reused Frame reaches its
+  // final capacity on frame 0 and every later read, block refills
+  // included, recycles memory.
+  const std::string p = path("steady.pcap");
+  {
+    auto writer = Writer::create(p);
+    ASSERT_TRUE(writer);
+    writer->write(numbered_frame(0, 1514));
+    for (std::size_t i = 1; i < 4000; ++i)
+      writer->write(numbered_frame(i, 60 + (i * 37) % 1400));
+  }
+  ASSERT_GT(fs::file_size(p), 2 * kReadBlockBytes);
+  std::uint64_t frames = 0;
+  std::uint64_t at_warm = 0;
+  std::uint64_t at_last = 0;
+  std::string error;
+  ASSERT_TRUE(read_any_capture(
+      p,
+      [&](const Frame&) {
+        ++frames;
+        if (frames == 100) at_warm = g_allocations.load();
+        at_last = g_allocations.load();
+      },
+      error))
+      << error;
+  EXPECT_EQ(frames, 4000u);
+  EXPECT_EQ(at_last - at_warm, 0u)
+      << "allocations across " << frames - 100 << " steady-state frames";
+}
+
 }  // namespace
 }  // namespace dnh::pcap
-
-#include "pcap/pcapng.hpp"
 
 namespace dnh::pcap {
 namespace {
@@ -410,16 +643,17 @@ TEST_F(PcapngTest, ReadsEnhancedPacketBlocks) {
   const auto path = builder.write(dir_, "basic.pcapng");
 
   auto reader = NgReader::open(path);
+  Frame scratch;
   ASSERT_TRUE(reader);
   EXPECT_EQ(reader->link_type(), kLinktypeEthernet);
-  auto f1 = reader->next();
-  ASSERT_TRUE(f1);
-  EXPECT_EQ(f1->timestamp.micros_since_epoch(), 5'000'123);
-  EXPECT_EQ(f1->data.size(), 5u);
-  auto f2 = reader->next();
-  ASSERT_TRUE(f2);
-  EXPECT_EQ(f2->data, (net::Bytes{9, 9}));
-  EXPECT_FALSE(reader->next());
+  Frame f1;
+  ASSERT_TRUE(reader->next(f1));
+  EXPECT_EQ(f1.timestamp.micros_since_epoch(), 5'000'123);
+  EXPECT_EQ(f1.data.size(), 5u);
+  Frame f2;
+  ASSERT_TRUE(reader->next(f2));
+  EXPECT_EQ(f2.data, (net::Bytes{9, 9}));
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_TRUE(reader->error().empty()) << reader->error();
 }
 
@@ -429,9 +663,9 @@ TEST_F(PcapngTest, HonoursNanosecondResolution) {
   const auto path = builder.write(dir_, "nanos.pcapng");
   auto reader = NgReader::open(path);
   ASSERT_TRUE(reader);
-  auto frame = reader->next();
-  ASSERT_TRUE(frame);
-  EXPECT_EQ(frame->timestamp.micros_since_epoch(), 1'500'000);
+  Frame frame;
+  ASSERT_TRUE(reader->next(frame));
+  EXPECT_EQ(frame.timestamp.micros_since_epoch(), 1'500'000);
 }
 
 TEST_F(PcapngTest, RejectsClassicPcapMagic) {
@@ -454,8 +688,9 @@ TEST_F(PcapngTest, TruncatedBlockReportsError) {
   const auto p = builder.write(dir_, "trunc.pcapng");
   std::filesystem::resize_file(p, std::filesystem::file_size(p) - 6);
   auto reader = NgReader::open(p);
+  Frame scratch;
   ASSERT_TRUE(reader);
-  EXPECT_FALSE(reader->next());
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_FALSE(reader->error().empty());
 }
 
@@ -471,9 +706,10 @@ TEST_F(PcapngTest, SkipsUnknownBlocks) {
   out.write(reinterpret_cast<const char*>(blk), sizeof blk);
   out.close();
   auto reader = NgReader::open(p);
+  Frame scratch;
   ASSERT_TRUE(reader);
-  EXPECT_TRUE(reader->next());
-  EXPECT_FALSE(reader->next());
+  EXPECT_TRUE(reader->next(scratch));
+  EXPECT_FALSE(reader->next(scratch));
   EXPECT_TRUE(reader->error().empty()) << reader->error();
 }
 
@@ -540,10 +776,11 @@ TEST_F(PcapngTest, FuzzMutatedFilesDoNotCrash) {
                 static_cast<std::streamsize>(mutated.size()));
     }
     auto reader = NgReader::open(p);
+    Frame scratch;
     if (!reader) continue;
     // Reading to the end must terminate (no hang, no crash).
     int frames = 0;
-    while (reader->next() && frames < 1000) ++frames;
+    while (reader->next(scratch) && frames < 1000) ++frames;
   }
 }
 
@@ -558,9 +795,10 @@ TEST_F(PcapngTest, FuzzRandomFilesDoNotCrash) {
       out.write(junk.data(), static_cast<std::streamsize>(junk.size()));
     }
     auto reader = NgReader::open(p);
+    Frame scratch;
     if (reader) {
       int frames = 0;
-      while (reader->next() && frames < 1000) ++frames;
+      while (reader->next(scratch) && frames < 1000) ++frames;
     }
   }
 }

@@ -16,15 +16,19 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/flowdb_io.hpp"
 #include "core/live.hpp"
 #include "core/sniffer.hpp"
+#include "dns/message.hpp"
 #include "faultinject/faultinject.hpp"
+#include "flow/table.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "packet/build.hpp"
+#include "packet/decode.hpp"
 #include "pcap/pcapng.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/spsc_ring.hpp"
@@ -208,6 +212,96 @@ TEST_F(PipelineTest, ShardForIsDeterministicAndCoversShards) {
   // 50 clients hashed over 4 shards: every shard must see traffic.
   for (std::size_t shard = 0; shard < 4; ++shard)
     EXPECT_GT(counts[shard], 0u) << "shard " << shard << " got no frames";
+}
+
+// The dispatcher routes on a fixed-offset header peek. Its shard sequence
+// must equal what the pre-peek dispatcher computed from a full decode:
+// client by the DNS-port rule or flow::orient, affinity by direction-free
+// 5-tuple with idle expiry and a periodic sweep. A short idle timeout and
+// a second, shifted pass of the capture make both expiry paths happen: a
+// pin dropped by the sweep, and a pin found expired and re-homed in place.
+TEST_F(PipelineTest, RouteFrameMatchesDecodeBasedReference) {
+  constexpr std::size_t kShards = 3;
+  // The dispatcher's client-address hash (splitmix64), restated here.
+  const auto reference_shard = [](net::Ipv4Address client) {
+    std::uint64_t x = client.value() + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>((x ^ (x >> 31)) % kShards);
+  };
+  struct Pin {
+    std::size_t shard = 0;
+    util::Timestamp last;
+  };
+  struct Paths {
+    std::size_t swept = 0;    // pins dropped by the periodic sweep
+    std::size_t rehomed = 0;  // pins found expired and re-homed in place
+  };
+  const auto check = [&](std::uint64_t sweep_interval) {
+    pipeline::PipelineConfig config;
+    config.shards = kShards;
+    config.sniffer.table.idle_timeout = util::Duration::seconds(20);
+    config.sniffer.table.sweep_interval_packets = sweep_interval;
+    const util::Duration idle = config.sniffer.table.idle_timeout;
+    pipeline::ShardedAnalyzer analyzer{config, nullptr};
+    std::map<flow::FlowKey, Pin> pins;
+    std::uint64_t routed = 0;
+    Paths paths;
+    std::vector<std::size_t> counts(kShards, 0);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& frame : *frames_) {
+        const util::Timestamp ts =
+            frame.timestamp + util::Duration::minutes(60 * pass);
+        std::size_t expected = 0;
+        const auto pkt = packet::decode_frame(frame.data, ts);
+        if (pkt && pkt->is_ipv4()) {
+          if (++routed % sweep_interval == 0)
+            paths.swept += std::erase_if(pins, [&](const auto& entry) {
+              return ts - entry.second.last > idle;
+            });
+          flow::FlowKey key;
+          key.transport =
+              pkt->is_tcp() ? flow::Transport::kTcp : flow::Transport::kUdp;
+          key.client_ip = pkt->src_v4();
+          key.client_port = pkt->src_port();
+          key.server_ip = pkt->dst_v4();
+          key.server_port = pkt->dst_port();
+          if (std::tie(key.server_ip, key.server_port) <
+              std::tie(key.client_ip, key.client_port)) {
+            std::swap(key.client_ip, key.server_ip);
+            std::swap(key.client_port, key.server_port);
+          }
+          net::Ipv4Address client = flow::orient(*pkt).key.client_ip;
+          if (pkt->src_port() == dns::kDnsPort) {
+            client = pkt->dst_v4();
+          } else if (pkt->dst_port() == dns::kDnsPort) {
+            client = pkt->src_v4();
+          }
+          const auto it = pins.find(key);
+          if (it == pins.end() || ts - it->second.last > idle) {
+            if (it != pins.end()) ++paths.rehomed;
+            pins[key] = Pin{reference_shard(client), ts};
+          } else if (ts > it->second.last) {
+            it->second.last = ts;
+          }
+          expected = pins[key].shard;
+        }
+        EXPECT_EQ(analyzer.route_frame(frame.data, ts), expected)
+            << "pass " << pass << ", frame at " << ts.micros_since_epoch()
+            << "us";
+        if (HasFailure()) return paths;
+        ++counts[expected];
+      }
+    }
+    analyzer.finish();
+    for (std::size_t shard = 0; shard < kShards; ++shard)
+      EXPECT_GT(counts[shard], 0u) << "shard " << shard;
+    return paths;
+  };
+  EXPECT_GT(check(1024).swept, 0u) << "the sweep never dropped a pin";
+  // Effectively no sweep: every resumed 5-tuple meets its expired pin.
+  EXPECT_GT(check(std::uint64_t{1} << 40).rehomed, 0u)
+      << "idle re-homing never exercised";
 }
 
 // Connections whose two ports are both ephemeral with server > client are

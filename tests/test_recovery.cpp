@@ -10,14 +10,19 @@
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "faultinject/faultinject.hpp"
+#include "obs/traceio.hpp"
+#include "pipeline/spill.hpp"
 #include "trafficgen/profiles.hpp"
 #include "trafficgen/simulator.hpp"
 
@@ -79,39 +84,77 @@ class RecoveryTest : public ::testing::Test {
   }
   static void TearDownTestSuite() { fs::remove_all(dir_); }
 
-  /// Runs `dnhunter export` as a direct child (no shell, so the PID is
-  /// the binary's) and SIGKILLs it after `grace_us`. Returns true if the
-  /// kill landed mid-run (the child did not finish first).
-  static bool run_and_kill(const std::vector<std::string>& args,
-                           useconds_t grace_us) {
+  /// Starts `dnhunter` as a direct child (no shell, so the PID is the
+  /// binary's), silenced, with `env` ("NAME=value") added to its
+  /// environment.
+  static pid_t spawn(const std::vector<std::string>& args,
+                     const std::vector<std::string>& env) {
     std::vector<const char*> argv;
     argv.push_back(DNHUNTER_BIN);
     for (const auto& arg : args) argv.push_back(arg.c_str());
     argv.push_back(nullptr);
     const pid_t pid = fork();
     if (pid == 0) {
-      // Child: silence it and become dnhunter.
       std::freopen("/dev/null", "w", stdout);
       std::freopen("/dev/null", "w", stderr);
+      for (const auto& entry : env) ::putenv(const_cast<char*>(entry.c_str()));
       execv(DNHUNTER_BIN, const_cast<char* const*>(argv.data()));
       _exit(127);
     }
-    ::usleep(grace_us);
-    const bool killed = ::kill(pid, SIGKILL) == 0;
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return killed && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
+    return pid;
   }
 
-  /// kill -9 a spilling run after `grace_us`, then --resume at `jobs`
-  /// shards and require byte-identical flows-TSV. Some kills land before
-  /// the first window seals (0 recovered) and some after the run finished
-  /// (skipped) — both are valid; the byte-identity assertion is absolute
-  /// either way.
-  void kill_and_resume(std::size_t jobs, useconds_t grace_us) {
+  enum class Wait { kReady, kExited, kTimedOut };
+
+  /// Polls `ready` every 200 us while the child runs, for up to 10 s.
+  /// kExited means the child finished first and was reaped into `status`.
+  static Wait wait_until(pid_t pid, const std::function<bool()>& ready,
+                         int& status) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (::waitpid(pid, &status, WNOHANG) == pid) return Wait::kExited;
+      if (ready()) return Wait::kReady;
+      ::usleep(200);
+    }
+    return Wait::kTimedOut;
+  }
+
+  /// Runs `dnhunter` and SIGKILLs it once `ready` holds. Returns true if
+  /// the kill landed mid-run; false if the child finished first or
+  /// `ready` never held (the child is killed then too).
+  static bool run_and_kill(const std::vector<std::string>& args,
+                           const std::function<bool()>& ready,
+                           const std::vector<std::string>& env = {}) {
+    const pid_t pid = spawn(args, env);
+    int status = 0;
+    const Wait waited = wait_until(pid, ready, status);
+    if (waited == Wait::kExited) return false;
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    return waited == Wait::kReady && WIFSIGNALED(status) &&
+           WTERMSIG(status) == SIGKILL;
+  }
+
+  /// Ready once the spill directory's manifest journals `windows`
+  /// complete windows (0: once the manifest exists, i.e. the run has set
+  /// up but sealed nothing yet).
+  static std::function<bool()> sealed(const std::string& spill,
+                                      std::uint64_t windows) {
+    return [spill, windows] {
+      if (!fs::exists(spill + "/manifest.dnhm")) return false;
+      return pipeline::scan_spill_dir(spill).complete_prefix >= windows;
+    };
+  }
+
+  /// kill -9 a spilling run once `windows` windows are sealed, then
+  /// --resume at `jobs` shards and require byte-identical flows-TSV. The
+  /// kill waits on the run's own progress, not on wall-clock time, so a
+  /// faster build is still killed mid-run.
+  void kill_and_resume(std::size_t jobs, std::uint64_t windows) {
     const std::string spill =
-        (dir_ / ("spill_j" + std::to_string(jobs) + "_" +
-                 std::to_string(grace_us)))
+        (dir_ / ("spill_j" + std::to_string(jobs) + "_w" +
+                 std::to_string(windows)))
             .string();
     const std::string out = spill + ".tsv";
     fs::remove_all(spill);
@@ -119,7 +162,7 @@ class RecoveryTest : public ::testing::Test {
         "export",      pcap_,   "--out",       out,
         "--jobs",      std::to_string(jobs),   "--spill-dir", spill,
         "--window",    "300"};
-    if (!run_and_kill(args, grace_us)) {
+    if (!run_and_kill(args, sealed(spill, windows))) {
       GTEST_LOG_(INFO) << "child finished before the kill; skipping";
       return;
     }
@@ -156,20 +199,20 @@ TEST_F(RecoveryTest, SpilledWindowedRunMatchesBaseline) {
 }
 
 TEST_F(RecoveryTest, KillNineThenResumeIsByteIdenticalJobs1) {
-  kill_and_resume(1, 30'000);
+  kill_and_resume(1, 1);
 }
 
 TEST_F(RecoveryTest, KillNineThenResumeIsByteIdenticalJobs4) {
-  kill_and_resume(4, 30'000);
+  kill_and_resume(4, 1);
 }
 
 TEST_F(RecoveryTest, KillNineThenResumeIsByteIdenticalJobs8) {
-  kill_and_resume(8, 30'000);
+  kill_and_resume(8, 1);
 }
 
 TEST_F(RecoveryTest, KillNineEarlyAndLateStillResume) {
-  kill_and_resume(4, 5'000);    // likely before the first seal
-  kill_and_resume(4, 120'000);  // likely deep into the capture
+  kill_and_resume(4, 0);  // before the first seal
+  kill_and_resume(4, 4);  // deep into the capture (8 windows in all)
 }
 
 TEST_F(RecoveryTest, GracefulDrainThenResumeIsByteIdentical) {
@@ -180,24 +223,16 @@ TEST_F(RecoveryTest, GracefulDrainThenResumeIsByteIdentical) {
   const std::string spill = (dir_ / "spill_drain").string();
   const std::string out = (dir_ / "drain.tsv").string();
   fs::remove_all(spill);
-  std::vector<std::string> args = {"export",      pcap_, "--out", out,
-                                   "--jobs",      "4",   "--spill-dir",
-                                   spill,         "--window", "300"};
-  std::vector<const char*> argv;
-  argv.push_back(DNHUNTER_BIN);
-  for (const auto& arg : args) argv.push_back(arg.c_str());
-  argv.push_back(nullptr);
-  const pid_t pid = fork();
-  if (pid == 0) {
-    std::freopen("/dev/null", "w", stdout);
-    std::freopen("/dev/null", "w", stderr);
-    execv(DNHUNTER_BIN, const_cast<char* const*>(argv.data()));
-    _exit(127);
-  }
-  ::usleep(40'000);
-  ::kill(pid, SIGTERM);
+  const pid_t pid = spawn({"export", pcap_, "--out", out, "--jobs", "4",
+                          "--spill-dir", spill, "--window", "300"},
+                         {});
   int status = 0;
-  ::waitpid(pid, &status, 0);
+  // Signal once the first window is journaled, so the drain lands
+  // mid-run however fast the build is.
+  if (wait_until(pid, sealed(spill, 1), status) != Wait::kExited) {
+    ::kill(pid, SIGTERM);
+    ::waitpid(pid, &status, 0);
+  }
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0) << "drain must exit 0";
 
@@ -214,7 +249,7 @@ TEST_F(RecoveryTest, ResumeWithDifferentShardCountMatchesBaseline) {
   const std::string out = (dir_ / "reshard.tsv").string();
   if (!run_and_kill({"export", pcap_, "--out", out, "--jobs", "4",
                      "--spill-dir", spill, "--window", "300"},
-                    40'000)) {
+                    sealed(spill, 1))) {
     GTEST_LOG_(INFO) << "child finished before the kill; skipping";
     return;
   }
@@ -262,15 +297,23 @@ TEST_F(RecoveryTest, KillNineLeavesRecoverableFlightRecorderDump) {
   const std::string spill = (dir_ / "spill_trace_kill").string();
   const std::string out = (dir_ / "trace_kill.tsv").string();
   fs::remove_all(spill);
-  // 150ms grace: past the first 100ms refresh, so the recovered dump
-  // carries window-lifecycle events, not just the startup thread-starts.
-  if (!run_and_kill({"export", pcap_, "--out", out, "--jobs", "4",
-                     "--spill-dir", spill, "--window", "300"},
-                    150'000)) {
-    GTEST_LOG_(INFO) << "child finished before the kill; skipping";
-    return;
-  }
+  // Shard 0 parks at startup (DNH_FAULT_STALL), so the run cannot finish
+  // before the kill. The kill waits until a refreshed dump on disk
+  // carries a dispatcher window-lifecycle event, not just the startup
+  // thread-starts.
   const std::string dump = spill + "/flight.dnht";
+  const auto dispatched = [&dump] {
+    const auto threads = obs::read_binary_dump(dump);
+    if (!threads) return false;
+    for (const auto& thread : *threads)
+      for (const auto& event : thread.events)
+        if (event.kind == obs::TraceKind::kWindowDispatched) return true;
+    return false;
+  };
+  ASSERT_TRUE(run_and_kill({"export", pcap_, "--out", out, "--jobs", "4",
+                            "--spill-dir", spill, "--window", "300"},
+                           dispatched, {"DNH_FAULT_STALL=0"}))
+      << "no window-dispatched event reached the dump within 10 s";
   ASSERT_TRUE(fs::exists(dump))
       << "flight.dnht missing after SIGKILL mid-run";
   const auto rendered = run_cli("trace-cat " + dump);
