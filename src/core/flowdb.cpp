@@ -18,17 +18,29 @@ FlowDatabase::FlowIndex FlowDatabase::add(TaggedFlow flow) {
   const FlowIndex index = static_cast<FlowIndex>(flows_.size());
   // Re-intern: after this, the flow's label lives in OUR arena regardless
   // of where the caller staged it (sniffer scratch, TSV line, another
-  // shard's table), and the indexes key on the 32-bit id.
+  // shard's table).
   flow.fqdn_id = table_->intern(flow.fqdn);
   flow.fqdn = table_->view(flow.fqdn_id);
+  flows_.push_back(std::move(flow));
+  if (indexed_) index_flow(index);
+  return index;
+}
+
+void FlowDatabase::index_flow(FlowIndex index) const {
+  const TaggedFlow& flow = flows_[index];
   if (flow.labeled()) {
     fqdn_index_[flow.fqdn_id].push_back(index);
     sld_index_[table_->intern(flow.second_level())].push_back(index);
   }
   server_index_[flow.key.server_ip].push_back(index);
   port_index_[flow.key.server_port].push_back(index);
-  flows_.push_back(std::move(flow));
-  return index;
+}
+
+void FlowDatabase::ensure_indexed() const {
+  if (indexed_) return;
+  for (std::size_t i = 0; i < flows_.size(); ++i)
+    index_flow(static_cast<FlowIndex>(i));
+  indexed_ = true;
 }
 
 std::vector<TaggedFlow> FlowDatabase::take_flows() {
@@ -38,11 +50,13 @@ std::vector<TaggedFlow> FlowDatabase::take_flows() {
   sld_index_.clear();
   server_index_.clear();
   port_index_.clear();
+  indexed_ = false;
   return out;
 }
 
 const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_second_level(
     std::string_view sld) const {
+  ensure_indexed();  // interns the 2nd-level domains find() looks up
   const auto id = table_->find(sld);
   if (!id) return kEmpty;
   const auto it = sld_index_.find(*id);
@@ -53,18 +67,21 @@ const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_fqdn(
     std::string_view fqdn) const {
   const auto id = table_->find(fqdn);
   if (!id) return kEmpty;
+  ensure_indexed();
   const auto it = fqdn_index_.find(*id);
   return it == fqdn_index_.end() ? kEmpty : it->second;
 }
 
 const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_server(
     net::Ipv4Address server) const {
+  ensure_indexed();
   const auto it = server_index_.find(server);
   return it == server_index_.end() ? kEmpty : it->second;
 }
 
 const std::vector<FlowDatabase::FlowIndex>& FlowDatabase::by_server_port(
     std::uint16_t port) const {
+  ensure_indexed();
   const auto it = port_index_.find(port);
   return it == port_index_.end() ? kEmpty : it->second;
 }
@@ -114,6 +131,7 @@ std::vector<DomainId> FlowDatabase::fqdns_on_server(
 }
 
 std::vector<DomainId> FlowDatabase::distinct_fqdns() const {
+  ensure_indexed();
   std::vector<DomainId> out;
   out.reserve(fqdn_index_.size());
   for (const auto& [id, _] : fqdn_index_) out.push_back(id);
@@ -132,6 +150,7 @@ std::vector<std::string_view> FlowDatabase::fqdn_views(
 
 std::vector<std::pair<std::uint16_t, std::size_t>>
 FlowDatabase::ports_by_flow_count() const {
+  ensure_indexed();
   std::vector<std::pair<std::uint16_t, std::size_t>> out;
   out.reserve(port_index_.size());
   for (const auto& [port, flows] : port_index_)

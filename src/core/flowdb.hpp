@@ -70,8 +70,18 @@ struct TaggedFlow {
   std::string_view second_level() const;
 };
 
-/// Append-only store with lazily usable secondary indexes. Indexes are
-/// built incrementally on add(); queries return stable flow indices.
+/// Append-only store with secondary indexes built on first query.
+///
+/// add() only interns the label and appends the flow: the ingest, merge
+/// and export paths never read an index, so they never pay for one. The
+/// first query that reads an index builds all four (fqdn, 2nd-level
+/// domain, server, port) over every flow, interning each label's 2nd-level
+/// domain on the way; from then on add() keeps them current, and
+/// take_flows() drops them. Queries return stable flow indices.
+///
+/// Because a const query may build the indexes, a database — like its
+/// DomainTable — is used by one thread at a time, queries included; the
+/// pipeline's hand-offs move whole databases between threads.
 class FlowDatabase {
  public:
   using FlowIndex = std::uint32_t;
@@ -85,12 +95,13 @@ class FlowDatabase {
   explicit FlowDatabase(std::shared_ptr<DomainTable> table)
       : table_{std::move(table)} {}
 
-  /// Adds a flow and indexes it: the flow's fqdn text is interned into
-  /// this database's DomainTable and its view/id rebound to the arena
-  /// copy. Returns the flow's index.
+  /// Adds a flow: the flow's fqdn text is interned into this database's
+  /// DomainTable and its view/id rebound to the arena copy; the indexes
+  /// are updated only once a query has built them. Returns the flow's
+  /// index.
   FlowIndex add(TaggedFlow flow);
 
-  /// Moves every flow out and resets the database (indexes included).
+  /// Moves every flow out and resets the database (indexes dropped).
   /// The DomainTable is retained — the moved-out flows' fqdn views point
   /// into it, so re-adding them (the merge stage, canonicalize()) stays
   /// valid. Used by the parallel pipeline's merge stage to re-add
@@ -150,17 +161,26 @@ class FlowDatabase {
       const;
 
  private:
+  /// Builds the indexes over every flow unless a query already has.
+  void ensure_indexed() const;
+  /// Adds flow `index` to the built indexes.
+  void index_flow(FlowIndex index) const;
+
   std::shared_ptr<DomainTable> table_;
   std::vector<TaggedFlow> flows_;
+  // Query-side state, built by ensure_indexed() and dropped by
+  // take_flows(); mutable because the const queries build it.
+  mutable bool indexed_ = false;
   // dnh-lint: bounded(take_database) the database grows with its window
   // and is moved out whole on rotation; indexes die with the flows.
-  std::unordered_map<DomainId, std::vector<FlowIndex>> fqdn_index_;
+  mutable std::unordered_map<DomainId, std::vector<FlowIndex>> fqdn_index_;
   // dnh-lint: bounded(take_database)
-  std::unordered_map<DomainId, std::vector<FlowIndex>> sld_index_;
+  mutable std::unordered_map<DomainId, std::vector<FlowIndex>> sld_index_;
   // dnh-lint: bounded(take_database)
-  std::unordered_map<net::Ipv4Address, std::vector<FlowIndex>> server_index_;
+  mutable std::unordered_map<net::Ipv4Address, std::vector<FlowIndex>>
+      server_index_;
   // dnh-lint: bounded(take_database)
-  std::map<std::uint16_t, std::vector<FlowIndex>> port_index_;
+  mutable std::map<std::uint16_t, std::vector<FlowIndex>> port_index_;
   static const std::vector<FlowIndex> kEmpty;
 };
 

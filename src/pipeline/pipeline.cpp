@@ -168,16 +168,26 @@ bool canonical_less(const core::DnsEvent& a, const core::DnsEvent& b) {
          std::tie(b.time, b.client, b.fqdn, b.servers);
 }
 
+// Both overloads return after one O(n) check when the input is already in
+// canonical order (a whole-capture k-way merge result). Skipping the sort
+// is byte-safe: rows equal under canonical_less are identical in every
+// TSV column, so no stable-vs-unstable question arises.
 void canonicalize(core::FlowDatabase& db) {
+  const auto less = [](const auto& a, const auto& b) {
+    return canonical_less(a, b);
+  };
+  if (std::is_sorted(db.flows().begin(), db.flows().end(), less)) return;
   std::vector<core::TaggedFlow> flows = db.take_flows();
-  std::sort(flows.begin(), flows.end(),
-            [](const auto& a, const auto& b) { return canonical_less(a, b); });
+  std::sort(flows.begin(), flows.end(), less);
   for (auto& flow : flows) db.add(std::move(flow));
 }
 
 void canonicalize(std::vector<core::DnsEvent>& log) {
-  std::sort(log.begin(), log.end(),
-            [](const auto& a, const auto& b) { return canonical_less(a, b); });
+  const auto less = [](const auto& a, const auto& b) {
+    return canonical_less(a, b);
+  };
+  if (std::is_sorted(log.begin(), log.end(), less)) return;
+  std::sort(log.begin(), log.end(), less);
 }
 
 // One message on a shard's frame ring. Control items (rotate/stop) ride

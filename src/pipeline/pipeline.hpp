@@ -187,9 +187,10 @@ struct PipelineStats {
 bool canonical_less(const core::TaggedFlow& a, const core::TaggedFlow& b);
 bool canonical_less(const core::DnsEvent& a, const core::DnsEvent& b);
 
-/// Rebuilds `db` with its flows in canonical order (indexes included).
+/// Rebuilds `db` with its flows in canonical order; a no-op when they
+/// already are.
 void canonicalize(core::FlowDatabase& db);
-/// Sorts a DNS event log into canonical order.
+/// Sorts a DNS event log into canonical order (no-op when it already is).
 void canonicalize(std::vector<core::DnsEvent>& log);
 inline void canonicalize(core::AnalysisWindow& window) {
   canonicalize(window.db);

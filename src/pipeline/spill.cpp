@@ -105,7 +105,8 @@ std::string encode_payload(std::uint64_t seq,
   out << kDnsHeader << '\n';
   for (const auto& event : window.dns_log) {
     out << event.time.micros_since_epoch() << '\t'
-        << event.client.to_string() << '\t' << event.fqdn << '\t';
+        << event.client.to_string() << '\t'
+        << core::escape_tsv_field(event.fqdn) << '\t';
     bool first = true;
     for (const auto& server : event.servers) {
       if (!first) out << ',';
@@ -349,8 +350,10 @@ bool decode_payload(const std::string& payload, std::uint64_t expected_seq,
   stats.flow_row_errors += row_errors.total();
   window.db = std::move(*db);
 
-  // DNS section: time_us \t client \t fqdn \t comma-joined servers.
+  // DNS section: time_us \t client \t escaped fqdn \t comma-joined
+  // servers.
   const auto& table = window.db.domain_table();
+  std::string fqdn;
   std::string_view rest{payload.data() + dns_at + separator.size(),
                         payload.size() - dns_at - separator.size()};
   while (!rest.empty()) {
@@ -366,13 +369,14 @@ bool decode_payload(const std::string& payload, std::uint64_t expected_seq,
     const auto client =
         fields.size() == 4 ? net::Ipv4Address::parse(fields[1])
                            : std::nullopt;
-    if (fields.size() != 4 || !parse_int(fields[0], time_us) || !client) {
+    if (fields.size() != 4 || !parse_int(fields[0], time_us) || !client ||
+        !core::unescape_tsv_field(fields[2], fqdn)) {
       ++stats.dns_row_errors;
       continue;
     }
     event.time = util::Timestamp::from_micros(time_us);
     event.client = *client;
-    event.fqdn_id = table->intern(fields[2]);
+    event.fqdn_id = table->intern(fqdn);
     event.fqdn = table->view(event.fqdn_id);
     bool servers_ok = true;
     if (!fields[3].empty()) {

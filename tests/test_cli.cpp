@@ -151,6 +151,22 @@ TEST_F(CliTest, ExportWritesTsvRoundTrip) {
   EXPECT_EQ(std::string{line}.substr(0, 18), "#dnhunter-flows v1");
 }
 
+TEST_F(CliTest, ExportFailsWhenTheWriteFails) {
+  // /dev/full accepts the open and fails every write with ENOSPC: export
+  // must report it rather than claim the flows were written.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (const char* jobs : {"1", "3"}) {
+    const auto result =
+        run_cli("export " + pcap_ + " --out /dev/full --jobs " + jobs);
+    EXPECT_NE(result.exit_code, 0) << "--jobs " << jobs;
+    EXPECT_NE(result.output.find("error: cannot write /dev/full"),
+              std::string::npos)
+        << result.output;
+    EXPECT_EQ(result.output.find("wrote "), std::string::npos)
+        << result.output;
+  }
+}
+
 TEST_F(CliTest, VolumeDelaysDimensionRun) {
   EXPECT_EQ(run_cli("volume " + pcap_ + " --depth 2").exit_code, 0);
   const auto delays = run_cli("delays " + pcap_);

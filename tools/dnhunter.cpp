@@ -411,10 +411,12 @@ Capture sniff(const Args& args) {
     config.drain_check = [] { return pipeline::drain_requested(); };
 
     // Windows arrive in order on the merge thread; accumulate them into
-    // the one Capture the analytics commands consume (whole-capture mode
-    // delivers exactly one). Flow fqdn views are re-interned by add();
-    // event views are remapped into the capture's own table here, so
-    // nothing dangles when the window's private table dies.
+    // the one Capture the analytics commands consume. While the capture is
+    // still empty, a window is adopted whole: its DomainTable moves with
+    // its db, so every view stays valid. That covers a whole-capture run,
+    // which delivers exactly one window. Later windows (--window mode) are
+    // appended: flow fqdn views are re-interned by add(), event views
+    // remapped into the capture's table.
     // Crash forensics ride along with durability: keep DIR/flight.dnht
     // current from the moment the spill directory exists — a fatal-signal
     // hook dumps the rings from the handler, and the periodic writer
@@ -432,9 +434,15 @@ Capture sniff(const Args& args) {
           util::Duration::millis(100));
       trace_dump->start();
     }
-    core::DomainTable& unified = *capture.db.domain_table();
     pipeline::ShardedAnalyzer analyzer{
-        config, [&capture, &unified](core::AnalysisWindow&& window) {
+        config, [&capture](core::AnalysisWindow&& window) {
+          if (capture.db.size() == 0 && capture.events.empty()) {
+            capture.db = std::move(window.db);
+            capture.events = std::move(window.dns_log);
+            return;
+          }
+          // Fetched per call: adopting a window replaced the table.
+          core::DomainTable& unified = *capture.db.domain_table();
           for (auto& flow : window.db.take_flows())
             capture.db.add(std::move(flow));
           for (auto& event : window.dns_log) {
@@ -517,8 +525,9 @@ Capture sniff(const Args& args) {
     capture.stats_data = pstats.merged;
   }
   // Both paths canonicalize, so `--jobs N` output is bit-identical to
-  // `--jobs 1` for every command (the merge stage already sorted, but
-  // running the same pass here keeps the invariant in one place).
+  // `--jobs 1` for every command (the merge stage already sorted, so
+  // there this is one O(n) check, but running the same pass here keeps
+  // the invariant in one place).
   pipeline::canonicalize(capture.db);
   pipeline::canonicalize(capture.events);
   warn_on_corruption(capture.degradation());
@@ -815,12 +824,12 @@ int cmd_export(const Args& args) {
   const auto out = args.option("out");
   if (!out) usage("export requires --out FILE.tsv");
   const auto sniffer = sniff(args);
-  const std::size_t n = core::write_flow_tsv(sniffer.database(), *out);
-  if (n == 0 && sniffer.database().size() != 0) {
+  const auto n = core::write_flow_tsv(sniffer.database(), *out);
+  if (!n) {
     std::fprintf(stderr, "error: cannot write %s\n", out->c_str());
     return 1;
   }
-  std::printf("wrote %zu labeled+unlabeled flows to %s\n", n, out->c_str());
+  std::printf("wrote %zu labeled+unlabeled flows to %s\n", *n, out->c_str());
   return 0;
 }
 
