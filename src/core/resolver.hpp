@@ -4,6 +4,8 @@
 //  - FQDN entries live in a fixed-size circular FIFO (the "Clist" of size
 //    L), which bounds memory and implicitly ages entries out — L must be
 //    dimensioned against the monitored hosts' cache lifetime (Sec. 6).
+//    Slots are created as the first lap reaches them, so committed memory
+//    grows with the responses inserted and L is only its upper bound.
 //  - A (clientIP, serverIP) -> entry index implements lookup. The paper's
 //    primary design is two nested ordered maps (O(log Nc + log Ns(c)));
 //    footnote 2 notes hash tables as the alternative. Both live on as
@@ -208,11 +210,14 @@ class BasicDnsResolver {
                             std::shared_ptr<DomainTable> table = nullptr)
       : table_{table ? std::move(table)
                      : std::make_shared<DomainTable>()},
-        clist_(clist_size > 0 ? clist_size : 1) {
+        capacity_{clist_size > 0 ? clist_size : 1} {
+    // Address space only: insert creates each Entry when the FIFO cursor
+    // first reaches it, so untouched slots are never page-faulted, zeroed
+    // or destroyed, and the first lap never reallocates.
+    clist_.reserve(capacity_);
     // Warm the index for small/medium Clists so steady state does not
-    // rehash; capped because live keys track traffic, not L, and a
-    // default L of 2^20 per shard must not pre-commit megabytes.
-    index_.reserve(std::min(clist_.size(), std::size_t{1} << 12));
+    // rehash; capped because live keys track traffic, not L.
+    index_.reserve(std::min(capacity_, std::size_t{1} << 12));
   }
 
   /// INSERT(DNSresponse) with a pre-interned name: the zero-allocation
@@ -224,6 +229,9 @@ class BasicDnsResolver {
     // dnh-lint: hot
     ++stats_.inserts;
 
+    // First lap: the cursor is at the end of the created slots, so create
+    // this one inside the reservation (never a reallocation).
+    if (next_ == clist_.size()) clist_.emplace_back();
     // Recycle the next Clist slot (Alg. 1 lines 22-25): drop the old
     // entry's keys from the index before reusing the slot.
     Entry& slot = clist_[next_];
@@ -235,7 +243,7 @@ class BasicDnsResolver {
     // Increment-and-wrap: the modulo on every insert was a measurable
     // per-response cost (integer division) for a counter that only ever
     // advances by one.
-    if (++next_ == clist_.size()) next_ = 0;
+    if (++next_ == capacity_) next_ = 0;
 
     slot.in_use = true;
     slot.generation += 1;
@@ -350,7 +358,8 @@ class BasicDnsResolver {
   }
 
   const ResolverStats& stats() const noexcept { return stats_; }
-  std::size_t capacity() const noexcept { return clist_.size(); }
+  /// The configured L, whether or not the first lap has reached it.
+  std::size_t capacity() const noexcept { return capacity_; }
 
   /// Number of clients currently present in the index.
   std::size_t client_count() const noexcept {
@@ -396,6 +405,9 @@ class BasicDnsResolver {
   }
 
   std::shared_ptr<DomainTable> table_;
+  std::size_t capacity_;
+  /// Slots [0, clist_.size()) exist; capacity_ - size() remain reserved
+  /// until the first lap reaches them.
   std::vector<Entry> clist_;
   std::size_t next_ = 0;
   PairIndex index_;

@@ -44,6 +44,8 @@ struct DnsEvent {
 
 struct SnifferConfig {
   /// Clist size L (paper Sec. 6 dimensions this against cache lifetime).
+  /// L is an upper bound on the Clist's committed memory, not an up-front
+  /// cost: a slot is committed when the first DNS response reaches it.
   std::size_t clist_size = 1 << 20;
   flow::TableConfig table;
   /// Retain the DNS event log for off-line analytics (costs memory).

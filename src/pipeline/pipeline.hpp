@@ -92,7 +92,9 @@ struct PipelineConfig {
   /// Applied to every shard's private Sniffer. Each shard gets the FULL
   /// clist_size: entries are keyed by client and clients never share
   /// entries, so private full-size Clists reproduce single-threaded
-  /// tagging exactly (at N× the memory — see docs/pipeline.md).
+  /// tagging exactly. That is N× the reserved address space; committed
+  /// memory grows only as each shard inserts responses (docs/pipeline.md
+  /// "Per-shard Clist memory").
   core::SnifferConfig sniffer;
   /// Window rotation length; zero (default) delivers one merged window
   /// covering the whole stream at finish(). Non-zero mirrors

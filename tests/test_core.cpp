@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
 #include "core/flowdb.hpp"
 #include "core/policy.hpp"
 #include "core/sniffer.hpp"
@@ -372,6 +378,40 @@ TEST_F(SnifferTest, DnsLogCapEvictsOldestHalf) {
   ASSERT_EQ(sniffer.dns_log().size(), 3u);
   EXPECT_EQ(sniffer.dns_log().front().fqdn, "h2.example.com");
   EXPECT_EQ(sniffer.dns_log().back().fqdn, "h4.example.com");
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DNH_RSS_DISTORTED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DNH_RSS_DISTORTED 1
+#endif
+#endif
+
+#if defined(__linux__)
+/// Resident set size in bytes from /proc/self/statm (second field, pages).
+std::size_t resident_bytes() {
+  std::ifstream statm{"/proc/self/statm"};
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+#endif
+
+// A default Sniffer has L = 2^20 Clist slots; they must cost address space,
+// not resident memory, until DNS responses fill them.
+TEST(SnifferMemory, DefaultSnifferCommitsLittleBeforeTraffic) {
+#if !defined(__linux__) || defined(DNH_RSS_DISTORTED)
+  GTEST_SKIP() << "needs /proc/self/statm and an uninstrumented heap";
+#else
+  const std::size_t before = resident_bytes();
+  Sniffer sniffer;
+  const std::size_t after = resident_bytes();
+  ASSERT_EQ(sniffer.resolver().capacity(), std::size_t{1} << 20);
+  const std::size_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, std::size_t{8} << 20) << "bytes: " << grown;
+#endif
 }
 
 }  // namespace

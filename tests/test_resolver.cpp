@@ -69,14 +69,23 @@ TEST(Resolver, SameFqdnRefreshCounted) {
 }
 
 TEST(Resolver, ClistEvictionExpiresOldEntries) {
-  DnsResolver resolver{2};  // tiny Clist: L = 2
+  // Non-power-of-two L. Slots are created as the first lap reaches them,
+  // but capacity() reports the configured L throughout.
+  DnsResolver resolver{3};
+  EXPECT_EQ(resolver.capacity(), 3u);
   insert(resolver, kClient1, "one.example.com", {kServerA});
   insert(resolver, kClient1, "two.example.com", {kServerB});
+  EXPECT_EQ(resolver.capacity(), 3u);  // partway through the first lap
   insert(resolver, kClient1, "three.example.com", {kServerC});
-  // "one" was evicted by "three" (circular overwrite).
+  EXPECT_EQ(resolver.stats().evictions, 0u);
+  const Ipv4Address server_d{1, 1, 1, 1};
+  insert(resolver, kClient1, "four.example.com", {server_d});
+  // Insert L+1 evicted exactly "one" (circular overwrite of slot 0).
+  EXPECT_EQ(resolver.capacity(), 3u);
   EXPECT_FALSE(resolver.lookup(kClient1, kServerA));
   EXPECT_TRUE(resolver.lookup(kClient1, kServerB));
   EXPECT_TRUE(resolver.lookup(kClient1, kServerC));
+  EXPECT_TRUE(resolver.lookup(kClient1, server_d));
   EXPECT_EQ(resolver.stats().evictions, 1u);
 }
 
@@ -174,7 +183,8 @@ TEST(Resolver, UnorderedPolicyBehavesIdentically) {
 // wraps with randomized (client, server) keys — heavy slot recycling and
 // delete_back_references churn — and require identical answers from all
 // three query shapes at every step. Parameterized over Clist sizes so the
-// wrap frequency varies from "every insert" to "rarely".
+// wrap frequency varies from "every insert" to "once, near the end" (2000)
+// to "never" (2^20: every insert lands on the first lap).
 class FlatPolicyEquivalence : public ::testing::TestWithParam<std::size_t> {
 };
 
@@ -184,7 +194,7 @@ TEST_P(FlatPolicyEquivalence, MatchesOrderedThroughFullClistWrap) {
   BasicDnsResolver<OrderedMapPolicy> ordered{L};
   util::Rng rng{0xC1157ULL * (L + 1)};
 
-  const std::size_t steps = 4000;  // >> L for every parameterized size
+  const std::size_t steps = 4000;
   for (std::size_t step = 0; step < steps; ++step) {
     const Ipv4Address client{10, 0, 0,
                              static_cast<std::uint8_t>(rng.index(6))};
@@ -230,10 +240,16 @@ TEST_P(FlatPolicyEquivalence, MatchesOrderedThroughFullClistWrap) {
     ASSERT_EQ(flat.client_count(), ordered.client_count()) << step;
     ASSERT_EQ(flat.stats().evictions, ordered.stats().evictions) << step;
   }
+  // Every answer list is non-empty, so each insert past the first L
+  // recycled exactly one live slot.
+  const std::uint64_t inserts = flat.stats().inserts;
+  EXPECT_EQ(flat.stats().evictions, inserts > L ? inserts - L : 0);
+  EXPECT_EQ(flat.capacity(), L);
 }
 
 INSTANTIATE_TEST_SUITE_P(ClistSizes, FlatPolicyEquivalence,
-                         ::testing::Values(1, 2, 7, 32, 256));
+                         ::testing::Values(1, 2, 7, 32, 256, 2000,
+                                           std::size_t{1} << 20));
 
 // Invariant sweep: after arbitrary insert sequences with a small Clist,
 // every successful lookup returns the most recent FQDN inserted for that
