@@ -108,6 +108,10 @@ class FlowDatabase {
   /// per-shard flows in canonical order without copying them.
   std::vector<TaggedFlow> take_flows();
 
+  /// Reserves room for `flows` flows, so a caller that knows the final
+  /// count (canonicalize, the k-way merge) moves each flow exactly once.
+  void reserve(std::size_t flows) { flows_.reserve(flows); }
+
   /// The interner backing this database's fqdn views.
   const std::shared_ptr<DomainTable>& domain_table() const noexcept {
     return table_;

@@ -516,9 +516,9 @@ bool Sniffer::process_pcap(const std::string& path) {
   pcap::CaptureReadOptions options;
   options.resync = config_.resync_capture;
   pcap::CaptureReadReport report;
-  const bool ok = pcap::read_any_capture(
+  const bool ok = pcap::read_capture_views(
       path,
-      [this](const pcap::Frame& frame) {
+      [this](const pcap::FrameView& frame) {
         on_frame(frame.data, frame.timestamp);
       },
       options, report);

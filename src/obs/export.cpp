@@ -122,6 +122,8 @@ std::string_view help_for(const std::string& base) {
       {"dnh_pending_tags", "DNS-tagged endpoints awaiting their flow."},
       {"dnh_pipeline_blocked_pushes_total",
        "Dispatcher pushes that waited on a full shard ring."},
+      {"dnh_pipeline_frame_blocks",
+       "1 MiB frame blocks held by the dispatcher's pool."},
       {"dnh_pipeline_frames_dispatched_total",
        "Frames fanned out to shard workers."},
       {"dnh_pipeline_frames_dropped_total",

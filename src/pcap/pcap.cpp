@@ -45,7 +45,8 @@ constexpr std::uint32_t kResyncTsWindowSeconds = 366 * 86400;
 
 }  // namespace
 
-std::optional<Reader> Reader::open(const std::string& path, Mode mode) {
+std::optional<Reader> Reader::open(const std::string& path, Mode mode,
+                                   BlockSource* blocks) {
   std::FILE* raw = std::fopen(path.c_str(), "rb");
   if (!raw) return std::nullopt;
   Reader reader;
@@ -76,8 +77,11 @@ std::optional<Reader> Reader::open(const std::string& path, Mode mode) {
   if (major != 2) return std::nullopt;
   reader.snaplen_ = reader.swapped_ ? bswap32(gh.snaplen) : gh.snaplen;
   reader.link_type_ = reader.swapped_ ? bswap32(gh.network) : gh.network;
-  reader.block_ = std::make_unique_for_overwrite<unsigned char[]>(
-      kReadBlockBytes);
+  reader.block_ = decltype(reader.block_){nullptr, BlockReturn{blocks}};
+  if (!blocks)
+    reader.block_.reset(
+        std::make_unique_for_overwrite<unsigned char[]>(kReadBlockBytes)
+            .release());
   reader.block_offset_ = static_cast<long>(sizeof gh);
   return reader;
 }
@@ -202,13 +206,26 @@ bool Reader::try_resync(long record_start) {
 
 bool Reader::fill(std::size_t n) {
   if (end_ - pos_ >= n) return true;
-  // Move the unread tail (a partial record) to the front, then top the
-  // block up with one fread; a short read means the file has ended.
-  std::memmove(block_.get(), block_.get() + pos_, end_ - pos_);
-  block_offset_ += static_cast<long>(pos_);
-  end_ -= pos_;
-  pos_ = 0;
-  while (end_ < n) {
+  if (!block_ || pos_ + n > kReadBlockBytes) {
+    // Too little room behind pos_: carry the unread tail (a partial
+    // record) to the front of a block. With a source that is a fresh
+    // block, so views into the old one stay intact; without one the tail
+    // moves down inside the only block.
+    const std::size_t tail = end_ - pos_;
+    BlockSource* source = block_.get_deleter().source;
+    if (source) {
+      decltype(block_) fresh{source->acquire(), BlockReturn{source}};
+      if (tail != 0) std::memcpy(fresh.get(), block_.get() + pos_, tail);
+      block_ = std::move(fresh);  // releases the old block
+    } else {
+      std::memmove(block_.get(), block_.get() + pos_, tail);
+    }
+    block_offset_ += static_cast<long>(pos_);
+    end_ = tail;
+    pos_ = 0;
+  }
+  // Top the block up with one fread; a short read means the file ended.
+  while (end_ - pos_ < n) {
     const std::size_t got = std::fread(block_.get() + end_, 1,
                                        kReadBlockBytes - end_, file_.get());
     if (got == 0) return false;
@@ -218,7 +235,7 @@ bool Reader::fill(std::size_t n) {
 }
 
 // dnh-analyze: hot
-bool Reader::next(Frame& out) {
+bool Reader::next(FrameView& out) {
   if (!file_ || !error_.empty()) return false;
 
   while (true) {
@@ -255,10 +272,13 @@ bool Reader::next(Frame& out) {
       if (mode_ == Mode::kResync) {
         // The scan works on the file, not the block: put the file at the
         // record's logical start, drop the block, and refill from
-        // wherever the scan lands.
+        // wherever the scan lands. A pooled block goes back to its source
+        // (views into it may still be alive) and the refill takes a
+        // fresh one.
         const long record_start = block_offset_ + static_cast<long>(pos_);
         std::fseek(file_.get(), record_start, SEEK_SET);
         pos_ = end_ = 0;
+        if (block_.get_deleter().source) block_.reset();
         const bool found = try_resync(record_start);
         block_offset_ = std::ftell(file_.get());
         if (found) continue;
@@ -281,10 +301,7 @@ bool Reader::next(Frame& out) {
       error_ = "truncated record body";
       return false;
     }
-    const unsigned char* body = block_.get() + pos_ + sizeof rh;
-    // dnh-analyze: allow(alloc, assign recycles the caller's frame
-    // capacity; it allocates only while that buffer is still growing)
-    out.data.assign(body, body + rh.incl_len);
+    out.data = net::BytesView{block_.get() + pos_ + sizeof rh, rh.incl_len};
     pos_ += record;
     const std::int64_t us =
         static_cast<std::int64_t>(rh.ts_sec) * 1'000'000 +
@@ -296,6 +313,13 @@ bool Reader::next(Frame& out) {
     ++frames_read_;
     return true;
   }
+}
+
+bool Reader::next(Frame& out) {
+  FrameView view;
+  if (!next(view)) return false;
+  out.assign(view);
+  return true;
 }
 
 std::optional<Writer> Writer::create(const std::string& path,

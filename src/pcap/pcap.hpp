@@ -27,6 +27,15 @@ inline constexpr std::uint32_t kMaxRecordBytes = 256 * 1024;
 /// block never has to grow.
 inline constexpr std::size_t kReadBlockBytes = 1 << 20;
 
+/// A frame read in place: `data` points into the reader's read block.
+/// Without a BlockSource the view is valid until the next read; with one,
+/// until the source hands the block out again.
+struct FrameView {
+  util::Timestamp timestamp;
+  std::uint32_t original_length = 0;  ///< wire length (>= data.size())
+  net::BytesView data;                ///< captured bytes, in the read block
+};
+
 /// One captured frame: capture timestamp plus the raw link-layer bytes.
 /// Readers fill a caller-owned Frame, so a stream that reuses one Frame
 /// recycles its buffer capacity instead of allocating per record.
@@ -34,6 +43,30 @@ struct Frame {
   util::Timestamp timestamp;
   std::uint32_t original_length = 0;  ///< wire length (>= data.size())
   net::Bytes data;                    ///< captured bytes
+
+  /// Copies `view` in, reusing this frame's buffer.
+  void assign(const FrameView& view) {
+    timestamp = view.timestamp;
+    original_length = view.original_length;
+    data.assign(view.data.begin(), view.data.end());
+  }
+};
+
+/// Supplies a Reader's kReadBlockBytes read blocks, so frame views can
+/// outlive the next read (the sharded dispatcher hands them to worker
+/// threads). The reader acquires a block whenever it needs fresh space
+/// and releases each block it has moved past — and its last one when it
+/// is destroyed. Views into a released block must stay readable until
+/// they are dead; tracking that is the source's job.
+class BlockSource {
+ public:
+  /// A kReadBlockBytes block the reader may fill.
+  virtual unsigned char* acquire() = 0;
+  /// Hands back a block from acquire(); the reader never touches it again.
+  virtual void release(unsigned char* block) = 0;
+
+ protected:
+  ~BlockSource() = default;  ///< readers never own their source
 };
 
 /// Damage encountered (and survived) while reading a corrupt savefile in
@@ -61,16 +94,26 @@ struct CorruptionStats {
 ///    page must not kill the capture.
 ///
 /// The savefile is read in kReadBlockBytes blocks, one fread per block,
-/// and record headers are parsed in place; a record that straddles a block
-/// boundary is moved to the front of the block before the next fill.
+/// and records are parsed in place. A record that straddles a block
+/// boundary is carried to the front of the next block: a fresh one from
+/// the BlockSource when there is one (views into the old block stay
+/// intact), otherwise the same block.
 class Reader {
  public:
   enum class Mode { kStrict, kResync };
 
   /// Opens `path`; returns nullopt if the file is missing or the global
-  /// header is not a recognizable pcap header.
+  /// header is not a recognizable pcap header. With `blocks` set, read
+  /// blocks come from (and go back to) that source, which must outlive
+  /// the reader; otherwise the reader owns one block.
   static std::optional<Reader> open(const std::string& path,
-                                    Mode mode = Mode::kStrict);
+                                    Mode mode = Mode::kStrict,
+                                    BlockSource* blocks = nullptr);
+
+  /// Reads the next frame in place; false at end of stream (or on error),
+  /// with `out` unspecified. No copy: see FrameView for how long the
+  /// bytes stay valid.
+  bool next(FrameView& out);
 
   /// Reads the next frame into `out`, reusing its buffer; false at end of
   /// stream (or on error), with `out` unspecified.
@@ -107,10 +150,24 @@ class Reader {
   /// from the file; false when the file ends first.
   bool fill(std::size_t n);
 
+  /// Gives a block back to its source, or frees the reader's own block.
+  /// (No default member initializer: value-initialization nulls `source`,
+  /// and the initializer would keep unique_ptr from default-constructing
+  /// it inside the still-incomplete Reader.)
+  struct BlockReturn {
+    BlockSource* source;
+    void operator()(unsigned char* block) const noexcept {
+      if (source)
+        source->release(block);
+      else
+        delete[] block;
+    }
+  };
+
   std::unique_ptr<std::FILE, FileCloser> file_;
   /// kReadBlockBytes, allocated but not zero-filled: pages are touched
-  /// only as reads fill them.
-  std::unique_ptr<unsigned char[]> block_;
+  /// only as reads fill them. Null until the first fill with a source.
+  std::unique_ptr<unsigned char[], BlockReturn> block_;
   std::size_t pos_ = 0;     ///< next unread byte in block_
   std::size_t end_ = 0;     ///< one past the last valid byte in block_
   long block_offset_ = 0;   ///< file offset of block_[0]

@@ -99,7 +99,7 @@ void NgReader::parse_interface_block(const std::vector<std::uint8_t>& body) {
   interfaces_.push_back(iface);
 }
 
-bool NgReader::next(Frame& out) {
+bool NgReader::next(FrameView& out) {
   if (!file_ || !error_.empty()) return false;
   while (true) {
     std::uint32_t raw_type = 0, raw_length = 0;
@@ -158,7 +158,7 @@ bool NgReader::next(Frame& out) {
       out.timestamp = util::Timestamp::from_micros(static_cast<std::int64_t>(
           ticks * 1'000'000 / ticks_per_second));
       out.original_length = to_host(original);
-      out.data.assign(body.begin() + 20, body.begin() + 20 + captured);
+      out.data = net::BytesView{body.data() + 20, captured};
       ++frames_read_;
       return true;
     }
@@ -171,12 +171,19 @@ bool NgReader::next(Frame& out) {
       std::memcpy(&original, body.data(), 4);
       out.timestamp = util::Timestamp{};
       out.original_length = to_host(original);
-      out.data.assign(body.begin() + 4, body.end());
+      out.data = net::BytesView{body.data() + 4, body.size() - 4};
       ++frames_read_;
       return true;
     }
     // Unknown/unsupported block (NRB, ISB, custom, new SHB): skip.
   }
+}
+
+bool NgReader::next(Frame& out) {
+  FrameView view;
+  if (!next(view)) return false;
+  out.assign(view);
+  return true;
 }
 
 bool read_any_capture(const std::string& path,
@@ -215,15 +222,13 @@ ReadMetrics& read_metrics() {
 
 }  // namespace
 
-bool read_any_capture(const std::string& path,
-                      const std::function<void(const Frame&)>& sink,
-                      const CaptureReadOptions& options,
-                      CaptureReadReport& report) {
+bool read_capture_views(const std::string& path,
+                        const std::function<void(const FrameView&)>& sink,
+                        const CaptureReadOptions& options,
+                        CaptureReadReport& report, BlockSource* blocks) {
   ReadMetrics& metrics = read_metrics();
   obs::SampleGate gate{64};
-  // One Frame for the whole stream: the readers recycle its buffer, so
-  // steady-state reading allocates nothing.
-  Frame frame;
+  FrameView frame;
   const auto pump = [&](auto& reader) {
     while (true) {
       if (options.stop && options.stop()) {
@@ -245,7 +250,7 @@ bool read_any_capture(const std::string& path,
   };
   const auto mode =
       options.resync ? Reader::Mode::kResync : Reader::Mode::kStrict;
-  if (auto classic = Reader::open(path, mode)) {
+  if (auto classic = Reader::open(path, mode, blocks)) {
     pump(*classic);
     report.corruption = classic->corruption();
     metrics.resyncs.add(report.corruption.resyncs);
@@ -259,6 +264,22 @@ bool read_any_capture(const std::string& path,
   }
   report.error = "not a pcap or pcapng capture: " + path;
   return false;
+}
+
+bool read_any_capture(const std::string& path,
+                      const std::function<void(const Frame&)>& sink,
+                      const CaptureReadOptions& options,
+                      CaptureReadReport& report) {
+  // One Frame for the whole stream: its buffer is recycled, so
+  // steady-state reading allocates nothing.
+  Frame frame;
+  return read_capture_views(
+      path,
+      [&](const FrameView& view) {
+        frame.assign(view);
+        sink(frame);
+      },
+      options, report);
 }
 
 }  // namespace dnh::pcap

@@ -27,6 +27,10 @@ class NgReader {
   /// Block.
   static std::optional<NgReader> open(const std::string& path);
 
+  /// Reads the next packet frame in place; the view is valid until the
+  /// next read. False at end of stream (check error()).
+  bool next(FrameView& out);
+
   /// Reads the next packet frame into `out`, reusing its buffer; false at
   /// end of stream (check error()).
   bool next(Frame& out);
@@ -95,10 +99,21 @@ struct CaptureReadReport {
 
 /// As above, with degraded-mode control and a detailed report. Returns
 /// false when the capture could not be opened or the stream aborted with
-/// an error; resynced corruption alone does not fail the read.
+/// an error; resynced corruption alone does not fail the read. Copies
+/// each frame into one recycled Frame; read_capture_views does not copy.
 bool read_any_capture(const std::string& path,
                       const std::function<void(const Frame&)>& sink,
                       const CaptureReadOptions& options,
                       CaptureReadReport& report);
+
+/// The reading loop behind read_any_capture, handing the sink each frame
+/// in place. A view is valid until the next frame is read; for a classic
+/// capture read with `blocks`, until that source hands its block out
+/// again (pcapng has no block path and always reads into one buffer).
+bool read_capture_views(const std::string& path,
+                        const std::function<void(const FrameView&)>& sink,
+                        const CaptureReadOptions& options,
+                        CaptureReadReport& report,
+                        BlockSource* blocks = nullptr);
 
 }  // namespace dnh::pcap

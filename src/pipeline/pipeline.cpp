@@ -8,11 +8,14 @@
 #include <thread>
 #include <array>
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <queue>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "dns/message.hpp"
@@ -23,6 +26,17 @@
 #include "pipeline/spsc_ring.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define DNH_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DNH_ASAN 1
+#endif
+#endif
+#ifdef DNH_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace dnh::pipeline {
 
@@ -150,6 +164,21 @@ std::string shard_label(std::string_view base, std::size_t shard) {
   return std::string{base} + "{shard=" + std::to_string(shard) + "}";
 }
 
+// Under AddressSanitizer a frame block on the pool's free list is
+// poisoned, so a view that outlived its block is reported, not silently
+// read.
+void poison_block([[maybe_unused]] unsigned char* bytes) {
+#ifdef DNH_ASAN
+  ASAN_POISON_MEMORY_REGION(bytes, pcap::kReadBlockBytes);
+#endif
+}
+
+void unpoison_block([[maybe_unused]] unsigned char* bytes) {
+#ifdef DNH_ASAN
+  ASAN_UNPOISON_MEMORY_REGION(bytes, pcap::kReadBlockBytes);
+#endif
+}
+
 }  // namespace
 
 bool canonical_less(const core::TaggedFlow& a, const core::TaggedFlow& b) {
@@ -173,13 +202,21 @@ bool canonical_less(const core::DnsEvent& a, const core::DnsEvent& b) {
 // is byte-safe: rows equal under canonical_less are identical in every
 // TSV column, so no stable-vs-unstable question arises.
 void canonicalize(core::FlowDatabase& db) {
+  const std::vector<core::TaggedFlow>& flows = db.flows();
   const auto less = [](const auto& a, const auto& b) {
     return canonical_less(a, b);
   };
-  if (std::is_sorted(db.flows().begin(), db.flows().end(), less)) return;
-  std::vector<core::TaggedFlow> flows = db.take_flows();
-  std::sort(flows.begin(), flows.end(), less);
-  for (auto& flow : flows) db.add(std::move(flow));
+  if (std::is_sorted(flows.begin(), flows.end(), less)) return;
+  // Sort 4-byte indices rather than ~200-byte flows, then move each flow
+  // once into a reserved database.
+  std::vector<std::uint32_t> order(flows.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return canonical_less(flows[a], flows[b]);
+  });
+  std::vector<core::TaggedFlow> taken = db.take_flows();
+  db.reserve(taken.size());
+  for (const std::uint32_t i : order) db.add(std::move(taken[i]));
 }
 
 void canonicalize(std::vector<core::DnsEvent>& log) {
@@ -190,16 +227,15 @@ void canonicalize(std::vector<core::DnsEvent>& log) {
   std::sort(log.begin(), log.end(), less);
 }
 
-// One message on a shard's frame ring. Control items (rotate/stop) ride
-// the same channel as frames, so a shard processes every frame dispatched
-// before a window boundary before it rotates — ordering for free.
+// One message on a shard's frame ring: a 32-byte trivially copyable slot.
+// Payloads (frame bytes, flow-export records) stay in the dispatcher's
+// frame blocks and the slot points at them. Control items (rotate/stop)
+// ride the same channel as frames, so a shard processes every frame
+// dispatched before a window boundary before it rotates — ordering for
+// free.
 struct ShardedAnalyzer::Item {
   enum class Kind : std::uint8_t { kFrame, kRecord, kRotate, kStop };
   Kind kind = Kind::kFrame;
-  util::Timestamp ts;     ///< frame timestamp (kFrame) / arrival (kRecord)
-  util::Timestamp start;  ///< window bounds (kRotate/kStop)
-  util::Timestamp end;
-  flowexport::OrientedRecord record;  ///< kRecord payload
   bool deliver = true;    ///< kStop: hand the final window to the sink?
   /// kStop: may the final window be spilled/journaled? False on a
   /// drain-interrupted run — the flush window covers only the frames
@@ -207,7 +243,14 @@ struct ShardedAnalyzer::Item {
   /// later --resume serve a truncated window where an uninterrupted run
   /// computes a full one.
   bool durable = true;
-  net::Bytes frame;       ///< recycled across ring laps (vector::assign)
+  std::uint32_t size = 0;  ///< bytes at `data`
+  /// Frame timestamp (kFrame), arrival (kRecord) or window start
+  /// (kRotate/kStop).
+  util::Timestamp ts;
+  util::Timestamp end;     ///< window end (kRotate/kStop)
+  /// Frame bytes (kFrame) or a flowexport::OrientedRecord (kRecord), in a
+  /// frame block.
+  const unsigned char* data = nullptr;
 };
 
 /// One shard's contribution to one merged window, canonically pre-sorted
@@ -244,8 +287,7 @@ struct ShardedAnalyzer::Worker {
   /// Dispatcher-side staging buffer: frames accumulate here and enter the
   /// ring kDispatchBatch at a time via try_produce_n, so the
   /// acquire/release pair (and its cross-core cache-line bounce) is paid
-  /// per batch instead of per frame. Item buffers are recycled by
-  /// swapping with ring slots. Dispatcher-thread-owned.
+  /// per batch instead of per frame. Dispatcher-thread-owned.
   struct Stage {
     std::array<Item, kDispatchBatch> items;
     std::size_t count = 0;
@@ -255,6 +297,8 @@ struct ShardedAnalyzer::Worker {
     /// WHEN the frame arrived, not when a batch happened to fill —
     /// exactly the semantics of the pre-batching per-frame push.
     bool congested = false;
+    /// Flow-export records among `items`: counted as records, not frames.
+    std::size_t records = 0;
   };
   Stage stage;
 
@@ -267,6 +311,147 @@ struct ShardedAnalyzer::Worker {
   std::uint64_t spill_failures = 0;
   obs::SampleGate sniff_gate{64};    ///< worker-thread-owned span sampler
   std::thread thread;
+};
+
+// Frame blocks (docs/pipeline.md "Copy-free ring slots"): every frame and
+// flow-export record in flight lives in a kReadBlockBytes block, and its
+// ring slot points into that block. The classic pcap reader fills blocks
+// in place (the pool is its BlockSource); on_frame and on_export_record
+// copy their bytes into the current bump block. A block the dispatcher
+// is done with is retired: every shard's stage is flushed and each ring's
+// produced() cursor recorded. The block is reused once every ring that
+// received items while it was open has consumed() past that cursor — no
+// refcount, no per-frame atomic. A ring holds at most its capacity in
+// items, so that capacity also bounds the blocks in flight.
+// Dispatcher-thread-only.
+class ShardedAnalyzer::FramePool final : public pcap::BlockSource {
+ public:
+  static_assert(sizeof(Item) == 32 && std::is_trivially_copyable_v<Item>,
+                "a ring slot is a 32-byte view");
+  static_assert(std::is_trivially_copyable_v<flowexport::OrientedRecord>,
+                "records travel as bytes in a frame block");
+
+  explicit FramePool(ShardedAnalyzer& owner) : owner_{owner} {}
+  ~FramePool() {
+    for (const auto& block : owned_) unpoison_block(block->bytes.get());
+  }
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+
+  unsigned char* acquire() override {
+    reader_ = take();
+    return reader_->bytes.get();
+  }
+
+  void release(unsigned char* bytes) override {
+    const auto it = std::find_if(
+        owned_.begin(), owned_.end(),
+        [&](const auto& block) { return block->bytes.get() == bytes; });
+    if (it == owned_.end()) return;
+    if (it->get() == reader_) reader_ = nullptr;
+    retire(it->get());
+  }
+
+  /// True when `p` points into the block the reader is filling, i.e. the
+  /// view it came from needs no copy.
+  bool in_reader_block(const unsigned char* p) const noexcept {
+    return reader_ != nullptr && p >= reader_->bytes.get() &&
+           p < reader_->bytes.get() + pcap::kReadBlockBytes;
+  }
+
+  /// Copies `n` <= kReadBlockBytes bytes into the bump block, retiring it
+  /// for a fresh one when they do not fit.
+  const unsigned char* copy_in(const void* bytes, std::size_t n) {
+    if (bump_ == nullptr || bump_used_ + n > pcap::kReadBlockBytes) {
+      if (bump_ != nullptr) retire(bump_);
+      bump_ = take();
+      bump_used_ = 0;
+    }
+    unsigned char* at = bump_->bytes.get() + bump_used_;
+    if (n != 0) std::memcpy(at, bytes, n);
+    bump_used_ += n;
+    return at;
+  }
+
+  /// Moves every retired block the rings are done with to the free list.
+  void reclaim() {
+    const std::size_t shards = owner_.workers_.size();
+    for (std::size_t k = 0; k < retired_.size();) {
+      Block* block = retired_[k];
+      bool done = true;
+      for (std::size_t i = 0; i < shards && done; ++i)
+        done = block->last[i] == block->first[i] ||
+               owner_.workers_[i]->queue.consumed() >= block->last[i];
+      if (!done) {
+        ++k;
+        continue;
+      }
+      poison_block(block->bytes.get());
+      free_.push_back(block);
+      retired_[k] = retired_.back();
+      retired_.pop_back();
+    }
+  }
+
+  std::size_t blocks() const noexcept { return owned_.size(); }
+
+ private:
+  struct Block {
+    std::unique_ptr<unsigned char[]> bytes;
+    std::vector<std::uint64_t> first;  ///< per ring: produced() when taken
+    std::vector<std::uint64_t> last;   ///< per ring: produced() at retire
+  };
+
+  Block* take() {
+    if (free_.empty()) reclaim();
+    if (free_.empty()) grow();
+    Block* block = free_.back();
+    free_.pop_back();
+    unpoison_block(block->bytes.get());
+    for (std::size_t i = 0; i < owner_.workers_.size(); ++i)
+      block->first[i] = owner_.workers_[i]->queue.produced();
+    return block;
+  }
+
+  void retire(Block* block) {
+    // Staged items may point into the block: push them into the rings
+    // first, so the recorded cursors cover every item that does.
+    for (std::size_t i = 0; i < owner_.workers_.size(); ++i) {
+      owner_.flush_stage(i);
+      block->last[i] = owner_.workers_[i]->queue.produced();
+    }
+    retired_.push_back(block);
+  }
+
+  void grow() {
+    const std::size_t shards = owner_.workers_.size();
+    auto block = std::make_unique<Block>();
+    // Not zero-filled: pages are touched only as frames fill them.
+    // dnh-analyze: allow(alloc, pool growth: one block per block's worth
+    // of items the rings can hold in flight, then none)
+    block->bytes.reset(new unsigned char[pcap::kReadBlockBytes]);
+    block->first.assign(shards, 0);
+    block->last.assign(shards, 0);
+    free_.push_back(block.get());
+    owned_.push_back(std::move(block));
+    // Neither list can outgrow the pool, so later pushes never allocate.
+    free_.reserve(owned_.size());
+    retired_.reserve(owned_.size());
+    owner_.frame_blocks_gauge_.set(static_cast<std::int64_t>(owned_.size()));
+  }
+
+  ShardedAnalyzer& owner_;
+  std::vector<std::unique_ptr<Block>> owned_;
+  // dnh-lint: bounded(reclaim) holds only blocks no ring references; the
+  // pool grows only when it is empty.
+  std::vector<Block*> free_;
+  // dnh-lint: bounded(reclaim) a retired block returns to free_ once
+  // every ring has consumed past it, and rings hold at most their
+  // capacity in items.
+  std::vector<Block*> retired_;
+  Block* reader_ = nullptr;  ///< block the pcap reader is filling
+  Block* bump_ = nullptr;    ///< block on_frame/on_export_record copy into
+  std::size_t bump_used_ = 0;
 };
 
 ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
@@ -338,6 +523,9 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
   }
   obs::Registry& registry = obs::Registry::global();
   routes_gauge_ = registry.gauge("dnh_pipeline_routes");
+  frame_blocks_gauge_ = registry.gauge("dnh_pipeline_frame_blocks");
+  frame_blocks_gauge_.set(0);
+  pool_ = std::make_unique<FramePool>(*this);
   inbox_depth_gauge_ = registry.gauge("dnh_merge_inbox_depth");
   spill_bytes_gauge_ = registry.gauge("dnh_spill_bytes");
   inbox_depth_gauge_.set(0);
@@ -498,8 +686,8 @@ std::size_t ShardedAnalyzer::route_frame(net::BytesView frame,
   return route.shard;
 }
 
-void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
-  if (finished_ || draining_) return;
+bool ShardedAnalyzer::admit(util::Timestamp ts) {
+  if (finished_ || draining_) return false;
   // Drain polling is amortized: the check is an indirect call (usually a
   // sig_atomic_t read), so once per 64 frames keeps it off the hot path
   // while still reacting to SIGINT within a microsecond-scale burst.
@@ -509,7 +697,7 @@ void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
     obs::trace_event(obs::TraceStage::kDispatch,
                      obs::TraceKind::kDrainRequested, rotations_, obs::kNoShard,
                      frames_dispatched_);
-    return;
+    return false;
   }
   if (!started_) {
     started_ = true;
@@ -531,7 +719,14 @@ void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
   pipeline_metrics().frames_dispatched.inc();
   if ((frames_dispatched_ & 4095) == 0)
     routes_gauge_.set(static_cast<std::int64_t>(routes_.size()));
-  dispatch_frame(frame, ts);
+  return true;
+}
+
+// dnh-analyze: hot
+void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
+  if (!admit(ts)) return;
+  const std::size_t size = std::min(frame.size(), pcap::kReadBlockBytes);
+  dispatch_frame({pool_->copy_in(frame.data(), size), size}, ts);
 }
 
 void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
@@ -560,19 +755,23 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   ++records_dispatched_;
   pipeline_metrics().records_dispatched.inc();
 
+  const flowexport::OrientedRecord oriented = orienter_.orient(record);
   Item item;
   item.kind = Item::Kind::kRecord;
   item.ts = arrival;
-  item.record = orienter_.orient(record);
+  item.size = sizeof oriented;
+  item.data = pool_->copy_in(&oriented, sizeof oriented);
   // Route by the oriented client: the shard whose resolver replica holds
   // this client's DNS history — the same reduction dispatch_client feeds
   // for DNS frames, so records and the responses that label them always
-  // meet on one shard. Records are per-flow (not per-packet), so the
-  // lossless control-item push is cheap enough.
+  // meet on one shard. Records are never shed: under kDrop they take the
+  // lossless control push, under kBlock they batch with frames.
   const std::size_t shard =
-      config_.shards <= 1 ? 0
-                          : shard_of(item.record.key.client_ip, config_.shards);
-  push_control(shard, std::move(item));
+      config_.shards <= 1 ? 0 : shard_of(oriented.key.client_ip, config_.shards);
+  if (config_.backpressure == BackpressurePolicy::kDrop)
+    push_control(shard, item);
+  else
+    stage_item(shard, item);
 }
 
 // dnh-analyze: hot
@@ -580,14 +779,18 @@ void ShardedAnalyzer::dispatch_frame(net::BytesView frame,
                                      util::Timestamp ts) {
   PipelineMetrics& m = pipeline_metrics();
   obs::SpanTimer span{m.dispatch_ns, dispatch_gate_};
-  const std::size_t shard = route_frame(frame, ts);
+  Item item;
+  item.kind = Item::Kind::kFrame;
+  item.size = static_cast<std::uint32_t>(frame.size());
+  item.ts = ts;
+  item.data = frame.data();
+  stage_item(route_frame(frame, ts), item);
+}
+
+void ShardedAnalyzer::stage_item(std::size_t shard, const Item& item) {
   Worker::Stage& stage = workers_[shard]->stage;
-  Item& staged = stage.items[stage.count++];
-  staged.kind = Item::Kind::kFrame;
-  staged.ts = ts;
-  // dnh-analyze: allow(alloc, assign recycles the slot's buffer capacity;
-  // it allocates only while that buffer is still growing)
-  staged.frame.assign(frame.begin(), frame.end());
+  stage.items[stage.count++] = item;
+  if (item.kind == Item::Kind::kRecord) ++stage.records;
   if (stage.count == kDispatchBatch ||
       (stage.congested && config_.backpressure == BackpressurePolicy::kDrop))
     flush_stage(shard);
@@ -605,12 +808,7 @@ void ShardedAnalyzer::flush_stage(std::size_t shard) {
     // dnh-lint: ring-producer (dispatcher thread owns every produce side)
     return worker.queue.try_produce_n(
         stage.count - offset, [&](Item& slot, std::size_t i) {
-          Item& staged = stage.items[offset + i];
-          slot.kind = staged.kind;
-          slot.ts = staged.ts;
-          // Swap keeps BOTH buffer pools warm: the ring slot's recycled
-          // capacity returns to the stage for the next frame.
-          std::swap(slot.frame, staged.frame);
+          slot = stage.items[offset + i];
         });
   };
   offset = produce();
@@ -633,21 +831,25 @@ void ShardedAnalyzer::flush_stage(std::size_t shard) {
       }
     }
   }
+  // Staged records are never shed (kDrop does not stage them), so every
+  // one of them is in the ring by now.
+  const std::size_t frames = offset - stage.records;
   // Progress marker once per ~512 enqueued frames per shard: frequent
   // enough that a stall dump shows the dispatcher was alive moments
   // before, rare enough not to evict window-lifecycle events.
-  if (((counters.enqueued ^ (counters.enqueued + offset)) >> 9) != 0)
+  if (((counters.enqueued ^ (counters.enqueued + frames)) >> 9) != 0)
     obs::trace_event(obs::TraceStage::kDispatch, obs::TraceKind::kFrameBatch,
                      rotations_, static_cast<unsigned>(shard),
-                     counters.enqueued + offset);
-  counters.enqueued += offset;
+                     counters.enqueued + frames);
+  counters.enqueued += frames;
   stage.count = 0;
+  stage.records = 0;
   heartbeats_.beat(dispatch_hb_);
   const std::size_t depth = worker.queue.size();
   if (depth > counters.high_water) counters.high_water = depth;
 }
 
-void ShardedAnalyzer::push_control(std::size_t shard, Item&& item) {
+void ShardedAnalyzer::push_control(std::size_t shard, const Item& item) {
   // Staged frames precede the control item in its shard's ring: rotation
   // and stop ordering relies on the frame channel being FIFO end to end.
   flush_stage(shard);
@@ -656,7 +858,8 @@ void ShardedAnalyzer::push_control(std::size_t shard, Item&& item) {
   Worker& worker = *workers_[shard];
   unsigned spins = 0;
   // dnh-lint: ring-producer (control items ride the dispatcher thread too)
-  while (!worker.queue.try_push(std::move(item))) backoff(spins);
+  while (!worker.queue.try_produce([&](Item& slot) { slot = item; }))
+    backoff(spins);
 }
 
 void ShardedAnalyzer::broadcast_rotation(util::Timestamp start,
@@ -664,9 +867,9 @@ void ShardedAnalyzer::broadcast_rotation(util::Timestamp start,
   for (std::size_t i = 0; i < config_.shards; ++i) {
     Item item;
     item.kind = Item::Kind::kRotate;
-    item.start = start;
+    item.ts = start;
     item.end = end;
-    push_control(i, std::move(item));
+    push_control(i, item);
   }
   // The WindowTraceId is the rotation's sequence number: every shard's
   // worker assigns exactly this seq when it seals its slice, so the
@@ -695,12 +898,20 @@ bool ShardedAnalyzer::process_pcap(const std::string& path) {
     };
   }
   pcap::CaptureReadReport report;
-  const bool ok = pcap::read_any_capture(
+  // The classic reader fills the pool's blocks, so its views go into the
+  // rings as they are; pcapng reads into one reused buffer, and its views
+  // are copied like on_frame's.
+  const bool ok = pcap::read_capture_views(
       path,
-      [this](const pcap::Frame& frame) {
-        on_frame(frame.data, frame.timestamp);
+      [this](const pcap::FrameView& frame) {
+        if (pool_->in_reader_block(frame.data.data())) {
+          if (admit(frame.timestamp))
+            dispatch_frame(frame.data, frame.timestamp);
+        } else {
+          on_frame(frame.data, frame.timestamp);
+        }
       },
-      options, report);
+      options, report, pool_.get());
   // Container-level damage is observed by the dispatcher (it owns the
   // reader), not by any shard; folded into merged degradation at finish.
   capture_degradation_.capture_resyncs += report.corruption.resyncs;
@@ -799,22 +1010,25 @@ void ShardedAnalyzer::worker_loop(std::size_t index) {
             case Item::Kind::kFrame: {
               obs::SpanTimer span{pipeline_metrics().sniff_ns,
                                   worker.sniff_gate};
-              worker.sniffer.on_frame(item.frame, item.ts);
+              worker.sniffer.on_frame({item.data, item.size}, item.ts);
               ++worker.frames_processed;
               break;
             }
-            case Item::Kind::kRecord:
-              worker.sniffer.on_export_record(item.record, item.ts);
+            case Item::Kind::kRecord: {
+              flowexport::OrientedRecord record;
+              std::memcpy(&record, item.data, sizeof record);
+              worker.sniffer.on_export_record(record, item.ts);
               break;
+            }
             case Item::Kind::kRotate:
               // Open flows stay live in the flow table across rotations,
               // exactly like LiveAnalyzer: a flow lands in the window it
               // completes in.
-              emit(false, true, true, item.start, item.end);
+              emit(false, true, true, item.ts, item.end);
               break;
             case Item::Kind::kStop:
               worker.sniffer.finish();
-              emit(true, item.deliver, item.durable, item.start, item.end);
+              emit(true, item.deliver, item.durable, item.ts, item.end);
               running = false;
               break;
           }
@@ -917,13 +1131,16 @@ namespace {
 void kway_merge_into(std::vector<core::AnalysisWindow>& parts,
                      core::AnalysisWindow& out) {
   std::vector<std::vector<core::TaggedFlow>> flows(parts.size());
+  std::size_t flow_total = 0;
   std::size_t event_total = 0;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     // The moved-out flows' fqdn views stay valid: each part's db retains
     // its DomainTable, and `parts` outlives the merge.
     flows[i] = parts[i].db.take_flows();
+    flow_total += flows[i].size();
     event_total += parts[i].dns_log.size();
   }
+  out.db.reserve(flow_total);
   out.dns_log.reserve(event_total);
 
   // Index-heap pattern: the heap holds part indices, keyed by each
@@ -1068,7 +1285,7 @@ void ShardedAnalyzer::finish() {
   for (std::size_t i = 0; i < config_.shards; ++i) {
     Item item;
     item.kind = Item::Kind::kStop;
-    item.start = start;
+    item.ts = start;
     item.end = end;
     // An empty run delivers no window, matching LiveAnalyzer; the stop
     // window still flows through the merge stage to terminate it. A
@@ -1076,7 +1293,7 @@ void ShardedAnalyzer::finish() {
     // truncated at the drain point, and --resume must recompute it.
     item.deliver = started_;
     item.durable = !draining_;
-    push_control(i, std::move(item));
+    push_control(i, item);
   }
   for (auto& worker : workers_) worker->thread.join();
   merge_thread_.join();
@@ -1112,6 +1329,7 @@ void ShardedAnalyzer::finish() {
     stats_.spill_bytes += workers_[i]->spill_bytes;
     stats_.spill_failures += workers_[i]->spill_failures;
   }
+  stats_.frame_blocks = pool_->blocks();
   stats_.frames_dispatched = frames_dispatched_;
   stats_.records_dispatched = records_dispatched_;
   stats_.windows_merged = windows_merged_;

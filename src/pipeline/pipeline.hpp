@@ -162,6 +162,9 @@ struct PipelineStats {
   std::uint64_t frames_dispatched = 0;  ///< frames offered to the pipeline
   std::uint64_t records_dispatched = 0; ///< flow-export records dispatched
   std::uint64_t frames_dropped = 0;     ///< total shed over all shards
+  /// Frame blocks (pcap::kReadBlockBytes each) the dispatcher's pool
+  /// allocated: its memory footprint, bounded by the rings' capacity.
+  std::size_t frame_blocks = 0;
   std::uint64_t windows_merged = 0;     ///< merged windows delivered
   util::Duration merge_total{};         ///< wall time spent in merges
   util::Duration merge_max{};           ///< slowest single merge
@@ -214,8 +217,11 @@ class ShardedAnalyzer {
   ShardedAnalyzer(const ShardedAnalyzer&) = delete;
   ShardedAnalyzer& operator=(const ShardedAnalyzer&) = delete;
 
-  /// Dispatches one link-layer frame (copied into a recycled ring slot).
-  /// Frames must arrive in non-decreasing timestamp order for the
+  /// Dispatches one link-layer frame. The caller keeps its buffer: the
+  /// bytes are copied once into the dispatcher's current frame block and
+  /// the ring slot carries a view of the copy (at most
+  /// pcap::kReadBlockBytes of a frame are kept; no IPv4 packet is near
+  /// that). Frames must arrive in non-decreasing timestamp order for the
   /// determinism guarantee to hold (same contract as pcap replay).
   void on_frame(net::BytesView frame, util::Timestamp ts);
 
@@ -233,6 +239,8 @@ class ShardedAnalyzer {
   /// Streams a capture file (classic pcap or pcapng) through the
   /// pipeline. Returns false if the file cannot be opened or aborts
   /// mid-stream (see error()); frames already dispatched are processed.
+  /// Classic pcap frames are not copied: the reader fills blocks from the
+  /// dispatcher's pool and ring slots point into them.
   bool process_pcap(const std::string& path);
 
   /// Flushes every shard, merges the final window, joins all threads.
@@ -283,6 +291,7 @@ class ShardedAnalyzer {
   struct Item;
   struct Worker;
   struct ShardWindow;
+  class FramePool;
 
   // Thread-ownership map (checked by the -Wthread-safety build plus the
   // dnh-lint ring-role tags at the SPSC push/pop sites; see
@@ -297,11 +306,17 @@ class ShardedAnalyzer {
   // Cross-thread state is either a lock-free channel (SpscRing), a
   // mutex-guarded inbox (MergeInbox, annotated), or atomics
   // (sampled_peaks_).
+  /// on_frame's bookkeeping (drain, first timestamp, window rotation,
+  /// counters); false when the frame is to be ignored.
+  bool admit(util::Timestamp ts);
+  /// Routes and stages one frame whose bytes already live in a pool block.
   void dispatch_frame(net::BytesView frame, util::Timestamp ts);
+  /// Appends an item to shard's staging buffer, flushing it when full.
+  void stage_item(std::size_t shard, const Item& item);
   /// Drains shard's dispatcher-side staging buffer into its ring in one
   /// batched produce (dropping or blocking per the backpressure policy).
   void flush_stage(std::size_t shard);
-  void push_control(std::size_t shard, Item&& item);
+  void push_control(std::size_t shard, const Item& item);
   void broadcast_rotation(util::Timestamp start, util::Timestamp end);
   void worker_loop(std::size_t index);
   void merge_loop();
@@ -340,6 +355,9 @@ class ShardedAnalyzer {
   // dnh-lint: bounded(sweep_interval_packets) idle entries expire against
   // the arriving packet and are swept on the flow table's cadence.
   util::FlatHash<flow::FlowKey, Route> routes_;
+  /// Blocks every frame (and flow-export record) in flight lives in; ring
+  /// slots point into them. Dispatcher-thread-only.
+  std::unique_ptr<FramePool> pool_;
   /// Record orientation state (flow-export ingest). Dispatcher-thread-only.
   flowexport::RecordOrienter orienter_;
   std::uint64_t routed_packets_ = 0;
@@ -396,6 +414,7 @@ class ShardedAnalyzer {
   // finish() before the sampled peaks are folded into stats_.
   obs::SampleGate dispatch_gate_{64};
   obs::Gauge routes_gauge_;
+  obs::Gauge frame_blocks_gauge_;  ///< dnh_pipeline_frame_blocks
   obs::Gauge inbox_depth_gauge_;   ///< dnh_merge_inbox_depth
   obs::Gauge spill_bytes_gauge_;   ///< dnh_spill_bytes
   std::vector<obs::Gauge> depth_gauges_;  ///< dnh_shard_queue_depth{shard=i}

@@ -10,9 +10,11 @@
 //  - Each side caches the other side's cursor (head_cache_/tail_cache_) so
 //    the common case touches a single shared atomic, not two; the caches
 //    live on their owner's cache line (alignas) to avoid false sharing.
-//  - try_produce()/try_consume() expose the slot in place, so a frame can
-//    be copied INTO the ring's recycled buffer (vector::assign reuses
-//    capacity) instead of allocating a fresh buffer per frame.
+//  - try_produce()/try_consume() expose the slot in place, so a producer
+//    can write a slot (or reuse storage a slot owns) without a temporary.
+//  - produced()/consumed() expose the two cursors, so a producer can tell
+//    when the consumer is done with everything up to a given element and
+//    reuse memory those elements pointed at (the pipeline's frame blocks).
 //
 //  - Batch variants (try_push_n/try_produce_n, try_pop_n/try_consume_n)
 //    move several elements per acquire/release pair, amortizing the
@@ -158,6 +160,19 @@ class SpscRing {
   }
 
   std::size_t capacity() const noexcept { return mask_ + 1; }
+
+  /// Producer: elements published so far (the tail cursor).
+  std::uint64_t produced() const noexcept {
+    return tail_.load(std::memory_order_relaxed);
+  }
+
+  /// Elements the consumer has released so far (the head cursor). The
+  /// acquire pairs with the consumer's release store, so its reads of the
+  /// first consumed() elements — and of memory they point at — happen
+  /// before whatever the caller does next.
+  std::uint64_t consumed() const noexcept {
+    return head_.load(std::memory_order_acquire);
+  }
 
  private:
   std::vector<T> buffer_;

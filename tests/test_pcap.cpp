@@ -2,16 +2,22 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <new>
+#include <set>
 
+#include "faultinject/faultinject.hpp"
+#include "packet/build.hpp"
 #include "pcap/pcap.hpp"
 #include "pcap/pcapng.hpp"
+#include "pipeline/pipeline.hpp"
 
 // ---- global allocation counter ---------------------------------------------
 // Counts every operator-new in the binary, so a test can snapshot it around
@@ -19,6 +25,9 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+/// The calling thread's share: the sharded-dispatch test counts only the
+/// dispatcher (its own thread), since shard workers allocate as flows end.
+thread_local std::uint64_t t_allocations = 0;
 }  // namespace
 
 // GCC pairs the replaced operator new (malloc) with the replaced delete
@@ -27,12 +36,14 @@ std::atomic<std::uint64_t> g_allocations{0};
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
 
 void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocations;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -538,6 +549,168 @@ TEST_F(PcapTest, TruncatedTailInsideABlockEndsTheStream) {
   EXPECT_EQ(reader->corruption().bytes_skipped, kRecordHeaderBytes + 400);
 }
 
+// ------------------------------------------------------ view reading
+
+/// A BlockSource that never reuses a block, so every view it backs stays
+/// readable for the test's lifetime; it tallies the reader's traffic.
+class FakeBlockSource final : public BlockSource {
+ public:
+  unsigned char* acquire() override {
+    blocks_.push_back(std::make_unique<unsigned char[]>(kReadBlockBytes));
+    return blocks_.back().get();
+  }
+  void release(unsigned char* block) override {
+    EXPECT_EQ(std::count(released_.begin(), released_.end(), block), 0)
+        << "block released twice";
+    released_.push_back(block);
+  }
+
+  std::size_t acquired() const { return blocks_.size(); }
+  std::size_t released() const { return released_.size(); }
+  /// Index of the block `p` points into, or acquired() if none.
+  std::size_t block_of(const unsigned char* p) const {
+    for (std::size_t i = 0; i < blocks_.size(); ++i)
+      if (p >= blocks_[i].get() && p < blocks_[i].get() + kReadBlockBytes)
+        return i;
+    return blocks_.size();
+  }
+
+ private:
+  std::vector<std::unique_ptr<unsigned char[]>> blocks_;
+  std::vector<unsigned char*> released_;
+};
+
+/// Reads every frame of `p` as views through `source`.
+std::vector<FrameView> read_views(const std::string& p,
+                                  FakeBlockSource& source,
+                                  Reader::Mode mode = Reader::Mode::kStrict) {
+  std::vector<FrameView> out;
+  auto reader = Reader::open(p, mode, &source);
+  EXPECT_TRUE(reader);
+  if (!reader) return out;
+  FrameView view;
+  while (reader->next(view)) out.push_back(view);
+  EXPECT_TRUE(reader->error().empty()) << reader->error();
+  // Every block but the one the reader may still hold has come back.
+  EXPECT_LE(source.acquired() - source.released(), 1u);
+  return out;
+}
+
+void expect_views_match(const std::vector<FrameView>& got,
+                        const std::vector<Frame>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].timestamp, want[i].timestamp) << "frame " << i;
+    EXPECT_EQ(got[i].original_length, want[i].original_length) << "frame " << i;
+    EXPECT_TRUE(std::equal(got[i].data.begin(), got[i].data.end(),
+                           want[i].data.begin(), want[i].data.end()))
+        << "frame " << i;
+  }
+}
+
+TEST_F(PcapTest, ViewsKeepTheirBytesUntilTheirBlockIsRecycled) {
+  // Frame 5 straddles the first block boundary; 1200 more 2 KB frames
+  // carry the file across at least three blocks.
+  const std::string p = path("views.pcap");
+  auto frames = frames_split_at(700, 1500);
+  for (std::size_t i = 0; i < 1200; ++i)
+    frames.push_back(numbered_frame(9 + i, 2000));
+  write_frames(p, frames);
+
+  FakeBlockSource source;
+  std::vector<FrameView> views;
+  {
+    views = read_views(p, source);
+    EXPECT_GE(source.acquired(), 3u);
+  }
+  // The reader is gone and every block is back with the source, which has
+  // reused none of them: each view still reads its original bytes.
+  EXPECT_EQ(source.released(), source.acquired());
+  expect_views_match(views, frames);
+  // The straddling record was carried whole into the second block.
+  EXPECT_EQ(source.block_of(views[4].data.data()), 0u);
+  EXPECT_EQ(source.block_of(views[5].data.data()), 1u);
+  std::set<std::size_t> used;
+  for (const auto& view : views) used.insert(source.block_of(view.data.data()));
+  EXPECT_GE(used.size(), 3u);
+  EXPECT_EQ(used.count(source.acquired()), 0u) << "a view outside every block";
+}
+
+TEST_F(PcapTest, ResyncHandsItsBlockBackToTheSource) {
+  // Damage deep in the second block: the resync drops that block, so it
+  // must go back to the source, and the views read from it before the
+  // damage must survive the refill that follows.
+  const std::string p = path("views_damage.pcap");
+  std::vector<Frame> frames;
+  for (std::size_t i = 0; i < 3000; ++i)
+    frames.push_back(numbered_frame(i, 1000));
+  write_frames(p, frames);
+  const std::size_t at = kGlobalHeaderBytes + 1500 * (kRecordHeaderBytes + 1000);
+  auto bytes = slurp(p);
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), 300, 0xee);
+  dump(p, bytes);
+
+  FakeBlockSource source;
+  std::vector<FrameView> views;
+  {
+    auto reader = Reader::open(p, Reader::Mode::kResync, &source);
+    ASSERT_TRUE(reader);
+    FrameView view;
+    while (reader->next(view)) views.push_back(view);
+    EXPECT_EQ(reader->corruption().resyncs, 1u);
+    EXPECT_EQ(source.released() + 1, source.acquired());
+    // The damaged block was handed back and a fresh one taken: no view
+    // before the damage shares a block with a view after it.
+    EXPECT_NE(source.block_of(views[1499].data.data()),
+              source.block_of(views[1500].data.data()));
+  }
+  EXPECT_EQ(source.released(), source.acquired());
+  expect_views_match(views, frames);
+}
+
+TEST_F(PcapTest, FrameAndViewReadsYieldIdenticalFrames) {
+  const std::string clean = path("same_clean.pcap");
+  std::vector<Frame> frames;
+  for (std::size_t i = 0; i < 4000; ++i)
+    frames.push_back(numbered_frame(i, 60 + (i * 37) % 1400));
+  write_frames(clean, frames);
+  ASSERT_GT(fs::file_size(clean), 2 * kReadBlockBytes);
+
+  faultinject::FileFaultConfig faults;
+  faults.seed = 5;
+  faults.garbage_run_rate = 0.004;
+  faults.length_lie_rate = 0.002;
+  faults.truncate_tail = true;
+  const std::string damaged = path("same_damaged.pcap");
+  const auto report = faultinject::corrupt_pcap_file(clean, damaged, faults);
+  ASSERT_TRUE(report);
+  ASSERT_GT(report->faults(), 2u);
+
+  for (const auto& [p, mode] :
+       {std::pair{clean, Reader::Mode::kStrict},
+        std::pair{clean, Reader::Mode::kResync},
+        std::pair{damaged, Reader::Mode::kResync}}) {
+    const std::vector<Frame> copied = read_frames(p, mode);
+    // Views through a block source, and views from the reader's own block
+    // (copied before the next read, which may move that block's bytes).
+    FakeBlockSource source;
+    expect_views_match(read_views(p, source, mode), copied);
+    auto reader = Reader::open(p, mode);
+    ASSERT_TRUE(reader);
+    std::vector<Frame> own;
+    FrameView view;
+    while (reader->next(view)) own.emplace_back().assign(view);
+    expect_same_frames(own, copied);
+    if (p == damaged) {
+      EXPECT_GE(reader->corruption().events(), 1u);
+      EXPECT_LE(reader->corruption().events(), report->faults());
+      EXPECT_LT(copied.size(), frames.size());
+    } else {
+      expect_same_frames(copied, frames);
+    }
+  }
+}
+
 TEST_F(PcapTest, SteadyStateReadAnyCaptureAllocatesNothing) {
   // Over 2 MiB of frames, largest first, so the reused Frame reaches its
   // final capacity on frame 0 and every later read, block refills
@@ -567,6 +740,69 @@ TEST_F(PcapTest, SteadyStateReadAnyCaptureAllocatesNothing) {
   EXPECT_EQ(frames, 4000u);
   EXPECT_EQ(at_last - at_warm, 0u)
       << "allocations across " << frames - 100 << " steady-state frames";
+}
+
+TEST_F(PcapTest, PipelineDispatchAllocatesNothingAfterWarmUp) {
+  // Valid UDP frames from 200 clients over more than eight read blocks,
+  // so the dispatcher's frame pool recycles blocks many times over.
+  const std::string p = path("dispatch.pcap");
+  constexpr std::size_t kFrames = 12'000;
+  {
+    auto writer = Writer::create(p);
+    ASSERT_TRUE(writer);
+    const net::Bytes payload(1400, 0x5a);
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      packet::FrameSpec spec;
+      spec.src_ip = net::Ipv4Address{10, 1, 0, static_cast<std::uint8_t>(i % 200)};
+      spec.dst_ip = net::Ipv4Address{192, 0, 2, 1};
+      spec.src_port = static_cast<std::uint16_t>(40'000 + i % 200);
+      spec.dst_port = 443;
+      const net::BytesView body{payload.data(), 400 + (i * 37) % 900};
+      writer->write(packet::make_pcap_frame(
+          util::Timestamp::from_micros(1'000'000 +
+                                       static_cast<std::int64_t>(i) * 1000),
+          packet::build_udp_frame(spec, body)));
+    }
+  }
+  ASSERT_GT(fs::file_size(p), 8 * kReadBlockBytes);
+  std::vector<Frame> frames;
+  std::string error;
+  ASSERT_TRUE(read_any_capture(
+      p, [&](const Frame& frame) { frames.push_back(frame); }, error));
+
+  // The dispatcher is this thread: drain_check is polled on it (before
+  // every read and every 64th dispatch), which makes it a probe into the
+  // middle of process_pcap. Small rings keep the blocks in flight, and
+  // so the pool's size, independent of worker timing.
+  std::uint64_t polls = 0;
+  std::uint64_t at_warm = 0;
+  std::uint64_t at_last = 0;
+  pipeline::PipelineConfig config;
+  config.shards = 2;
+  config.queue_capacity = 64;
+  config.drain_check = [&] {
+    if (++polls == kFrames / 2) at_warm = t_allocations;
+    at_last = t_allocations;
+    return false;
+  };
+  pipeline::ShardedAnalyzer analyzer{config, nullptr};
+  ASSERT_TRUE(analyzer.process_pcap(p)) << analyzer.error();
+  EXPECT_GT(polls, kFrames);
+  EXPECT_EQ(at_last - at_warm, 0u)
+      << "dispatcher allocations while reading views into the rings";
+
+  // The copying path: on_frame from caller-owned buffers.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (i == frames.size() / 2) at_warm = t_allocations;
+    analyzer.on_frame(frames[i].data, frames[i].timestamp +
+                                          util::Duration::seconds(60));
+  }
+  EXPECT_EQ(t_allocations - at_warm, 0u)
+      << "dispatcher allocations while copying frames into the rings";
+  analyzer.finish();
+  EXPECT_EQ(analyzer.stats().frames_dispatched, 2 * kFrames);
+  EXPECT_EQ(analyzer.stats().frames_dropped, 0u);
+  EXPECT_LE(analyzer.stats().frame_blocks, 4u);
 }
 
 }  // namespace

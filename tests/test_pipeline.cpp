@@ -559,6 +559,202 @@ TEST(PipelineBackpressure, BlockPolicyIsLosslessAndCountsStalls) {
   EXPECT_EQ(stats.merged.degradation.pipeline_frames_dropped, 0u);
 }
 
+// ----------------------------------------------------------- frame blocks
+
+/// The fixture trace replicated along the time axis until the file spans
+/// at least five read blocks. Each copy starts ten minutes after the
+/// previous one ends, so the idle timeout splits copies into fresh flows.
+std::string write_long_capture(const fs::path& dir,
+                               const std::vector<pcap::Frame>& frames) {
+  const std::string path = (dir / "long.pcap").string();
+  auto writer = pcap::Writer::create(path);
+  EXPECT_TRUE(writer);
+  const std::int64_t shift =
+      (frames.back().timestamp - frames.front().timestamp +
+       util::Duration::minutes(10))
+          .total_micros();
+  std::size_t bytes = 0;
+  for (std::int64_t copy = 0; bytes < 5 * pcap::kReadBlockBytes; ++copy) {
+    for (pcap::Frame frame : frames) {
+      frame.timestamp = frame.timestamp + util::Duration::micros(shift * copy);
+      writer->write(frame);
+      bytes += 16 + frame.data.size();
+    }
+  }
+  return path;
+}
+
+/// Canonical TSV of the single-threaded Sniffer over `path`.
+std::string reference_tsv(const std::string& path) {
+  core::Sniffer sniffer;
+  EXPECT_TRUE(sniffer.process_pcap(path)) << sniffer.error();
+  sniffer.finish();
+  core::FlowDatabase db = sniffer.take_database();
+  pipeline::canonicalize(db);
+  std::ostringstream out;
+  core::write_flow_tsv(db, out);
+  return out.str();
+}
+
+/// Pool size as the dispatcher last published it (atomic: safe to read
+/// from a worker thread).
+std::int64_t frame_blocks_gauge() {
+  return obs::Registry::global().gauge("dnh_pipeline_frame_blocks").value();
+}
+
+TEST_F(PipelineTest, FrameBlocksRecycleUnderALaggingShard) {
+  const std::string path = write_long_capture(dir_, *frames_);
+  const std::string reference = reference_tsv(path);
+  for (const std::size_t shards : {1u, 2u, 3u, 4u}) {
+    // Shard 0 stays parked until the dispatcher has retired at least two
+    // blocks it still references (the pool then holds three or more);
+    // its ring is deep enough that the dispatcher gets that far.
+    pipeline::PipelineConfig config;
+    config.shards = shards;
+    config.queue_capacity = 1 << 15;
+    config.worker_start_hook = [](std::size_t shard) {
+      if (shard != 0) return;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (frame_blocks_gauge() < 3 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    core::AnalysisWindow merged;
+    pipeline::ShardedAnalyzer analyzer{
+        config, [&](core::AnalysisWindow&& w) { merged = std::move(w); }};
+    ASSERT_TRUE(analyzer.process_pcap(path)) << analyzer.error();
+    analyzer.finish();
+    const auto& stats = analyzer.stats();
+    EXPECT_GE(stats.frame_blocks, 3u) << "shards=" << shards;
+    EXPECT_EQ(stats.frames_dropped, 0u);
+    EXPECT_EQ(tsv(merged.db), reference) << "shards=" << shards;
+  }
+}
+
+TEST_F(PipelineTest, FrameBlocksStayBoundedWhileParkedShardsDrop) {
+  const std::string path = write_long_capture(dir_, *frames_);
+  std::size_t total = 0;
+  std::string error;
+  ASSERT_TRUE(pcap::read_any_capture(
+      path, [&](const pcap::Frame&) { ++total; }, error));
+
+  // Both workers parked for the whole read: each ring takes exactly its
+  // capacity and sheds the rest — the accounting the drop policy always
+  // had. Only the blocks those first frames live in stay held; every
+  // later block is free as soon as it is retired.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  pipeline::PipelineConfig config;
+  config.shards = 2;
+  config.queue_capacity = 256;
+  config.backpressure = pipeline::BackpressurePolicy::kDrop;
+  config.worker_start_hook = [&](std::size_t) {
+    std::unique_lock lock{mutex};
+    cv.wait(lock, [&] { return release; });
+  };
+  pipeline::ShardedAnalyzer analyzer{config, nullptr};
+  ASSERT_TRUE(analyzer.process_pcap(path)) << analyzer.error();
+  EXPECT_LE(frame_blocks_gauge(), 3);
+  {
+    std::lock_guard lock{mutex};
+    release = true;
+  }
+  cv.notify_all();
+  analyzer.finish();
+
+  const auto& stats = analyzer.stats();
+  EXPECT_EQ(stats.frames_dispatched, total);
+  EXPECT_EQ(stats.frames_dropped, total - 2 * 256);
+  for (const auto& shard : stats.shards) {
+    EXPECT_EQ(shard.frames_enqueued, 256u);
+    EXPECT_EQ(shard.frames_processed, 256u);
+  }
+  EXPECT_EQ(stats.merged.frames, 2u * 256);
+  EXPECT_EQ(stats.merged.degradation.pipeline_frames_dropped,
+            stats.frames_dropped);
+  EXPECT_LE(stats.frame_blocks, 3u);
+}
+
+TEST_F(PipelineTest, OnFrameCopiesTheCallersBuffer) {
+  // One caller buffer, scribbled over after every call: the analyzer must
+  // have taken its copy by the time on_frame returns.
+  const std::string path = write_long_capture(dir_, *frames_);
+  const std::string reference = reference_tsv(path);
+  pipeline::PipelineConfig config;
+  config.shards = 3;
+  core::AnalysisWindow merged;
+  pipeline::ShardedAnalyzer analyzer{
+      config, [&](core::AnalysisWindow&& w) { merged = std::move(w); }};
+  net::Bytes buffer;
+  std::string error;
+  ASSERT_TRUE(pcap::read_any_capture(
+      path,
+      [&](const pcap::Frame& frame) {
+        buffer.assign(frame.data.begin(), frame.data.end());
+        analyzer.on_frame(buffer, frame.timestamp);
+        std::fill(buffer.begin(), buffer.end(), 0xee);
+      },
+      error));
+  analyzer.finish();
+  EXPECT_GE(analyzer.stats().frame_blocks, 1u);
+  EXPECT_EQ(tsv(merged.db), reference);
+}
+
+TEST(PipelineFrameBlocks, StagedFramesOutliveTheirBlock) {
+  // A shard's frames can still sit in the dispatcher's staging buffer
+  // when their block is retired: here one shard gets three frames first
+  // and none after, while ten blocks of the other shard's traffic follow.
+  // Retiring must push the staged frames into the ring, or the block is
+  // recycled under them. Small rings keep the busy shard close behind
+  // the dispatcher, so the first block is recycled as soon as it can be.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dnh_pipeline_staged_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string path = (dir / "staged.pcap").string();
+  const net::Bytes payload(1000, 0x42);
+  const auto frame_from = [&](std::uint8_t host, std::size_t i) {
+    packet::FrameSpec spec;
+    spec.src_ip = net::Ipv4Address{10, 0, 0, host};
+    spec.dst_ip = net::Ipv4Address{192, 0, 2, 7};
+    spec.src_port = 40'000;
+    spec.dst_port = 443;
+    return packet::make_pcap_frame(
+        util::Timestamp::from_micros(1'000'000 +
+                                     static_cast<std::int64_t>(i) * 1000),
+        packet::build_udp_frame(spec, payload));
+  };
+  const auto shard_of = [&](std::uint8_t host) {
+    return pipeline::ShardedAnalyzer::shard_for(frame_from(host, 0).data, 2);
+  };
+  const std::uint8_t quiet = 1;
+  std::uint8_t busy = 2;
+  while (shard_of(busy) == shard_of(quiet)) ++busy;
+  {
+    auto writer = pcap::Writer::create(path);
+    ASSERT_TRUE(writer);
+    std::size_t i = 0;
+    for (; i < 3; ++i) writer->write(frame_from(quiet, i));
+    for (; i < 10'000; ++i) writer->write(frame_from(busy, i));
+  }
+  ASSERT_GT(fs::file_size(path), 10 * pcap::kReadBlockBytes);
+
+  pipeline::PipelineConfig config;
+  config.shards = 2;
+  config.queue_capacity = 64;
+  core::AnalysisWindow merged;
+  pipeline::ShardedAnalyzer analyzer{
+      config, [&](core::AnalysisWindow&& w) { merged = std::move(w); }};
+  ASSERT_TRUE(analyzer.process_pcap(path)) << analyzer.error();
+  analyzer.finish();
+  EXPECT_EQ(analyzer.stats().shards[shard_of(quiet)].frames_processed, 3u);
+  std::ostringstream got;
+  core::write_flow_tsv(merged.db, got);
+  EXPECT_EQ(got.str(), reference_tsv(path));
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------------------- edge cases
 
 TEST(PipelineEdge, EmptyRunDeliversNoWindow) {
