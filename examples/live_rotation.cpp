@@ -1,16 +1,16 @@
 // Long-running deployment pattern: the paper's sniffer ran live at three
-// vantage points for months. LiveAnalyzer rotates the labeled flow
-// database on clean window boundaries, so each completed window can be
-// persisted and analyzed while memory stays bounded — here every 30-minute
-// window is written as TSV and summarized, exactly what a production
-// deployment's collection loop looks like.
+// vantage points for months. ShardedAnalyzer (one shard: it runs inline
+// on this thread) rotates the labeled flow database on clean window
+// boundaries, so each completed window can be persisted and analyzed
+// while memory stays bounded — here every 30-minute window is written as
+// TSV and summarized, exactly what a production deployment's collection
+// loop looks like.
 //
 // Run: ./build/examples/live_rotation
 #include <cstdio>
 
 #include "core/flowdb_io.hpp"
-#include "core/live.hpp"
-#include "pcap/pcapng.hpp"
+#include "pipeline/pipeline.hpp"
 #include "trafficgen/profiles.hpp"
 #include "trafficgen/simulator.hpp"
 #include "util/strings.hpp"
@@ -26,11 +26,12 @@ int main() {
   std::printf("generating 2h capture ...\n");
   sim.write_pcap(pcap);
 
-  core::LiveConfig config;
+  pipeline::PipelineConfig config;
+  config.shards = 1;
   config.window = util::Duration::minutes(30);
 
   int window_id = 0;
-  core::LiveAnalyzer live{
+  pipeline::ShardedAnalyzer live{
       config, [&](core::AnalysisWindow&& window) {
         std::uint64_t labeled = 0;
         for (const auto& flow : window.db.flows()) labeled += flow.labeled();
@@ -46,20 +47,17 @@ int main() {
             util::with_commas(window.dns_log.size()).c_str(), path.c_str());
       }};
 
-  // In production this loop is the capture interface; here it replays the
-  // pcap through the identical code path.
-  std::string error;
-  pcap::read_any_capture(
-      pcap,
-      [&](const pcap::Frame& frame) {
-        live.on_frame(frame.data, frame.timestamp);
-      },
-      error);
+  // In production the capture interface calls live.on_frame per packet;
+  // here process_pcap replays the file through the identical code path.
+  if (!live.process_pcap(pcap)) {
+    std::fprintf(stderr, "error: %s\n", live.error().c_str());
+    return 1;
+  }
   live.finish();
 
   std::printf(
       "\n%llu windows delivered; resolver and open-flow state persisted "
       "across all of them.\n",
-      static_cast<unsigned long long>(live.windows_delivered()));
+      static_cast<unsigned long long>(live.stats().windows_merged));
   return 0;
 }

@@ -1,13 +1,12 @@
 // Long-running deployment support: the paper's sniffer ran live at three
 // vantage points "since March 2012" — an append-only FlowDatabase cannot.
-// LiveAnalyzer wraps the Sniffer with time-window rotation: completed
-// flows land in the current window's database, and when the window rolls
-// over the finished database (plus its slice of the DNS log) is handed to
-// a sink — to be persisted (flowdb_io), analyzed, and dropped.
+// pipeline::ShardedAnalyzer rotates the flow database on time-window
+// boundaries and hands each completed window (its flows plus its slice of
+// the DNS log) to a sink — to be persisted (flowdb_io), analyzed, and
+// dropped.
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <vector>
 
 #include "core/flowdb.hpp"
 #include "core/sniffer.hpp"
@@ -20,64 +19,6 @@ struct AnalysisWindow {
   util::Timestamp end;
   FlowDatabase db;
   std::vector<DnsEvent> dns_log;
-};
-
-struct LiveConfig {
-  SnifferConfig sniffer;
-  /// Window length; hourly windows match the paper's per-day analytics
-  /// cadence at a manageable size.
-  util::Duration window = util::Duration::hours(1);
-};
-
-/// A Sniffer whose flow database rotates on window boundaries.
-///
-/// Usage: feed frames via on_frame(); each time the capture clock crosses
-/// a window boundary the completed window is delivered to the sink.
-/// finish() flushes open flows and delivers the final partial window.
-class LiveAnalyzer {
- public:
-  using WindowSink = std::function<void(AnalysisWindow&&)>;
-
-  LiveAnalyzer(LiveConfig config, WindowSink sink);
-
-  /// Feeds one frame; may invoke the sink when the frame's timestamp
-  /// enters a new window.
-  void on_frame(net::BytesView frame, util::Timestamp ts);
-
-  /// Flushes open flows into the current window and delivers it.
-  void finish();
-
-  /// The live flow-start hook passes through to the inner sniffer (policy
-  /// decisions are continuous; windows only affect offline storage).
-  void set_flow_start_hook(Sniffer::FlowStartHook hook);
-
-  const SnifferStats& stats() const noexcept { return sniffer_->stats(); }
-  /// Malformed-input accounting for the whole deployment lifetime (never
-  /// reset by window rotation — degradation is a property of the feed,
-  /// not of one window).
-  const DegradationStats& degradation() const noexcept {
-    return sniffer_->degradation();
-  }
-  std::uint64_t windows_delivered() const noexcept { return windows_; }
-
- private:
-  void rotate(util::Timestamp now);
-
-  // Rotation state is confined to the feeding thread: on_frame()/finish()
-  // mutate window_start_/started_/windows_ and move the database out of
-  // the sniffer, all on the caller's thread, and the sink runs inline on
-  // that same thread. No mutex, so nothing here is DNH_GUARDED_BY; the
-  // pipeline gets the same guarantee by giving each worker a private
-  // Sniffer and rotating via in-band control items (pipeline.hpp's
-  // thread-ownership map). Sharing a LiveAnalyzer across threads is a
-  // contract violation, not a supported mode.
-  LiveConfig config_;
-  WindowSink sink_;
-  Sniffer::FlowStartHook hook_;
-  std::unique_ptr<Sniffer> sniffer_;
-  util::Timestamp window_start_;
-  bool started_ = false;
-  std::uint64_t windows_ = 0;
 };
 
 }  // namespace dnh::core

@@ -174,9 +174,9 @@ class Sniffer {
 
   /// Moves the accumulated flow database out and starts a fresh one; the
   /// resolver and live flow table are untouched (window rotation for
-  /// long-running deployments — see core/live.hpp). The fresh database
-  /// shares the sniffer's DomainTable, so labels interned in earlier
-  /// windows stay valid and are not re-copied.
+  /// long-running deployments — see pipeline::PipelineConfig::window). The
+  /// fresh database shares the sniffer's DomainTable, so labels interned
+  /// in earlier windows stay valid and are not re-copied.
   FlowDatabase take_database() {
     FlowDatabase out = std::move(database_);
     database_ = FlowDatabase{domains_};

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <queue>
 #include <tuple>
 #include <type_traits>
@@ -281,8 +282,8 @@ struct ShardedAnalyzer::MergeInbox {
 };
 
 struct ShardedAnalyzer::Worker {
-  Worker(const core::SnifferConfig& config, std::size_t queue_capacity)
-      : queue(queue_capacity), sniffer(config) {}
+  explicit Worker(const core::SnifferConfig& config)
+      : sniffer(std::in_place, config) {}
 
   /// Dispatcher-side staging buffer: frames accumulate here and enter the
   /// ring kDispatchBatch at a time via try_produce_n, so the
@@ -302,9 +303,14 @@ struct ShardedAnalyzer::Worker {
   };
   Stage stage;
 
-  SpscRing<Item> queue;
-  core::Sniffer sniffer;             ///< worker-thread-owned after start
+  /// The frame channel; threaded mode only.
+  std::optional<SpscRing<Item>> queue;
+  /// Worker-thread-owned after start; destroyed at the final seal, which
+  /// keeps its stats in `final_stats`.
+  std::optional<core::Sniffer> sniffer;
+  core::SnifferStats final_stats;
   std::uint64_t frames_processed = 0;  ///< worker-owned; read after join
+  std::uint64_t windows_sealed = 0;    ///< the next seal's sequence number
   // Spill accounting, worker-owned; folded into PipelineStats after join.
   std::uint64_t windows_spilled = 0;
   std::uint64_t spill_bytes = 0;
@@ -381,7 +387,7 @@ class ShardedAnalyzer::FramePool final : public pcap::BlockSource {
       bool done = true;
       for (std::size_t i = 0; i < shards && done; ++i)
         done = block->last[i] == block->first[i] ||
-               owner_.workers_[i]->queue.consumed() >= block->last[i];
+               owner_.workers_[i]->queue->consumed() >= block->last[i];
       if (!done) {
         ++k;
         continue;
@@ -409,7 +415,7 @@ class ShardedAnalyzer::FramePool final : public pcap::BlockSource {
     free_.pop_back();
     unpoison_block(block->bytes.get());
     for (std::size_t i = 0; i < owner_.workers_.size(); ++i)
-      block->first[i] = owner_.workers_[i]->queue.produced();
+      block->first[i] = owner_.workers_[i]->queue->produced();
     return block;
   }
 
@@ -418,7 +424,7 @@ class ShardedAnalyzer::FramePool final : public pcap::BlockSource {
     // first, so the recorded cursors cover every item that does.
     for (std::size_t i = 0; i < owner_.workers_.size(); ++i) {
       owner_.flush_stage(i);
-      block->last[i] = owner_.workers_[i]->queue.produced();
+      block->last[i] = owner_.workers_[i]->queue->produced();
     }
     retired_.push_back(block);
   }
@@ -458,8 +464,6 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
     : config_{std::move(config)}, sink_{std::move(sink)} {
   if (config_.shards == 0) config_.shards = 1;
   dispatch_.resize(config_.shards);
-  if (config_.shards > 1)
-    routes_.reserve(config_.sniffer.table.expected_flows);
   // Record orientation splits pairs exactly where the flow table splits
   // flows: same idle timeout, same sweep cadence.
   flowexport::OrienterConfig orienter_config;
@@ -467,11 +471,6 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
   orienter_config.sweep_interval_records =
       config_.sniffer.table.sweep_interval_packets;
   orienter_ = flowexport::RecordOrienter{orienter_config};
-  inbox_ = std::make_unique<MergeInbox>();
-  inbox_->capacity =
-      config_.merge_inbox_capacity != 0
-          ? config_.merge_inbox_capacity
-          : std::max<std::size_t>(2 * config_.shards, 4);
 
   // Durability setup, before any thread exists. A resume replays the
   // manifest first; an unusable directory (no valid header, or a window
@@ -518,25 +517,40 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
   for (std::size_t i = 0; i < config_.shards; ++i) {
     core::SnifferConfig shard_config = config_.sniffer;
     shard_config.metrics_shard = i;  // labels the shard's state gauges
-    workers_.push_back(
-        std::make_unique<Worker>(shard_config, config_.queue_capacity));
+    workers_.push_back(std::make_unique<Worker>(shard_config));
   }
   obs::Registry& registry = obs::Registry::global();
   routes_gauge_ = registry.gauge("dnh_pipeline_routes");
   frame_blocks_gauge_ = registry.gauge("dnh_pipeline_frame_blocks");
   frame_blocks_gauge_.set(0);
-  pool_ = std::make_unique<FramePool>(*this);
-  inbox_depth_gauge_ = registry.gauge("dnh_merge_inbox_depth");
   spill_bytes_gauge_ = registry.gauge("dnh_spill_bytes");
+  sampled_peaks_ =
+      std::make_unique<std::atomic<std::size_t>[]>(config_.shards);
+  for (std::size_t i = 0; i < config_.shards; ++i)
+    sampled_peaks_[i].store(0, std::memory_order_relaxed);
+  // The dispatcher runs on the constructing (caller) thread; claim its
+  // flight-recorder ring here so every later dispatch event is labeled.
+  obs::FlightRecorder::global().set_thread_label("dispatch");
+  obs::trace_event(obs::TraceStage::kDispatch, obs::TraceKind::kThreadStart,
+                   obs::kNoSeq, obs::kNoShard, config_.shards);
+  // Inline mode is complete here: the caller's thread is the shard and
+  // the merge stage, so there is nothing to route, pool, queue or watch.
+  if (inline_mode()) return;
+
+  routes_.reserve(config_.sniffer.table.expected_flows);
+  for (auto& worker : workers_) worker->queue.emplace(config_.queue_capacity);
+  pool_ = std::make_unique<FramePool>(*this);
+  inbox_ = std::make_unique<MergeInbox>();
+  inbox_->capacity =
+      config_.merge_inbox_capacity != 0
+          ? config_.merge_inbox_capacity
+          : std::max<std::size_t>(2 * config_.shards, 4);
+  inbox_depth_gauge_ = registry.gauge("dnh_merge_inbox_depth");
   inbox_depth_gauge_.set(0);
   depth_gauges_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i)
     depth_gauges_.push_back(
         registry.gauge(shard_label("dnh_shard_queue_depth", i)));
-  sampled_peaks_ =
-      std::make_unique<std::atomic<std::size_t>[]>(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i)
-    sampled_peaks_[i].store(0, std::memory_order_relaxed);
   // Queue depth is sampled on the exporter's snapshot cadence, not per
   // push: the rings' head/tail cursors are atomics, so the read is safe
   // from the snapshot thread, and interval sampling is what makes the
@@ -545,7 +559,7 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
   depth_sampler_ = registry.add_sampler([this] {
     PipelineMetrics& m = pipeline_metrics();
     for (std::size_t i = 0; i < config_.shards; ++i) {
-      const std::size_t depth = workers_[i]->queue.size();
+      const std::size_t depth = workers_[i]->queue->size();
       depth_gauges_[i].set(static_cast<std::int64_t>(depth));
       m.depth_samples.observe(depth);
       auto& peak = sampled_peaks_[i];
@@ -556,11 +570,6 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
   // Heartbeats registered before any watched thread exists: the board is
   // structurally immutable once the watchdog and workers start.
   dispatch_hb_ = heartbeats_.add_stage("dispatch");
-  // The dispatcher runs on the constructing (caller) thread; claim its
-  // flight-recorder ring here so every later dispatch event is labeled.
-  obs::FlightRecorder::global().set_thread_label("dispatch");
-  obs::trace_event(obs::TraceStage::kDispatch, obs::TraceKind::kThreadStart,
-                   obs::kNoSeq, obs::kNoShard, config_.shards);
   worker_hb_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i)
     worker_hb_.push_back(
@@ -582,7 +591,7 @@ ShardedAnalyzer::ShardedAnalyzer(PipelineConfig config, WindowSink sink)
     // inbox (its own mutex). Quiet with neither is idle, not a stall.
     watchdog.pending = [this](std::string& desc) {
       for (std::size_t i = 0; i < config_.shards; ++i) {
-        if (workers_[i]->queue.size() > 0) {
+        if (workers_[i]->queue->size() > 0) {
           desc = "frames queued in shard " + std::to_string(i) + "'s ring";
           return true;
         }
@@ -699,32 +708,46 @@ bool ShardedAnalyzer::admit(util::Timestamp ts) {
                      frames_dispatched_);
     return false;
   }
-  if (!started_) {
-    started_ = true;
-    first_ts_ = ts;
-    last_ts_ = ts;
-    if (config_.window.total_micros() > 0) {
-      // Align to the window grid exactly like core::LiveAnalyzer.
-      const std::int64_t width = config_.window.total_micros();
-      window_start_ = util::Timestamp::from_micros(
-          ts.micros_since_epoch() / width * width);
-    }
-  }
-  if (ts > last_ts_) last_ts_ = ts;
-  if (config_.window.total_micros() > 0) {
-    while (ts >= window_start_ + config_.window)
-      broadcast_rotation(window_start_, window_start_ + config_.window);
-  }
-  ++frames_dispatched_;
-  pipeline_metrics().frames_dispatched.inc();
+  advance_clock(ts);
+  // The process-wide counter is an atomic add: publish it per 64 frames
+  // (finish() adds the remainder), not per frame.
+  if ((++frames_dispatched_ & 63) == 0)
+    pipeline_metrics().frames_dispatched.add(64);
   if ((frames_dispatched_ & 4095) == 0)
     routes_gauge_.set(static_cast<std::int64_t>(routes_.size()));
   return true;
 }
 
+void ShardedAnalyzer::advance_clock(util::Timestamp ts) {
+  const std::int64_t width = config_.window.total_micros();
+  if (!started_) {
+    started_ = true;
+    first_ts_ = ts;
+    last_ts_ = ts;
+    if (width > 0)
+      window_start_ = util::Timestamp::from_micros(
+          ts.micros_since_epoch() / width * width);
+  }
+  if (ts > last_ts_) last_ts_ = ts;
+  // Every boundary the clock has passed is a rotation, empty windows
+  // included. Flows still open in the flow table stay live and land in
+  // the window they complete in.
+  if (width > 0) {
+    while (ts >= window_start_ + config_.window)
+      broadcast_rotation(window_start_, window_start_ + config_.window);
+  }
+}
+
 // dnh-analyze: hot
 void ShardedAnalyzer::on_frame(net::BytesView frame, util::Timestamp ts) {
   if (!admit(ts)) return;
+  if (inline_mode()) {
+    Worker& worker = *workers_[0];
+    ++dispatch_[0].enqueued;
+    ++worker.frames_processed;
+    worker.sniffer->on_frame(frame, ts);
+    return;
+  }
   const std::size_t size = std::min(frame.size(), pcap::kReadBlockBytes);
   dispatch_frame({pool_->copy_in(frame.data(), size), size}, ts);
 }
@@ -737,25 +760,15 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   // window boundaries are monotone); the record's own timestamps pass
   // through untouched, and they alone decide flow boundaries and labels.
   if (started_ && arrival < last_ts_) arrival = last_ts_;
-  if (!started_) {
-    started_ = true;
-    first_ts_ = arrival;
-    last_ts_ = arrival;
-    if (config_.window.total_micros() > 0) {
-      const std::int64_t width = config_.window.total_micros();
-      window_start_ = util::Timestamp::from_micros(
-          arrival.micros_since_epoch() / width * width);
-    }
-  }
-  if (arrival > last_ts_) last_ts_ = arrival;
-  if (config_.window.total_micros() > 0) {
-    while (arrival >= window_start_ + config_.window)
-      broadcast_rotation(window_start_, window_start_ + config_.window);
-  }
+  advance_clock(arrival);
   ++records_dispatched_;
   pipeline_metrics().records_dispatched.inc();
 
   const flowexport::OrientedRecord oriented = orienter_.orient(record);
+  if (inline_mode()) {
+    workers_[0]->sniffer->on_export_record(oriented, arrival);
+    return;
+  }
   Item item;
   item.kind = Item::Kind::kRecord;
   item.ts = arrival;
@@ -766,8 +779,7 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   // for DNS frames, so records and the responses that label them always
   // meet on one shard. Records are never shed: under kDrop they take the
   // lossless control push, under kBlock they batch with frames.
-  const std::size_t shard =
-      config_.shards <= 1 ? 0 : shard_of(oriented.key.client_ip, config_.shards);
+  const std::size_t shard = shard_of(oriented.key.client_ip, config_.shards);
   if (config_.backpressure == BackpressurePolicy::kDrop)
     push_control(shard, item);
   else
@@ -806,7 +818,7 @@ void ShardedAnalyzer::flush_stage(std::size_t shard) {
   std::size_t offset = 0;
   const auto produce = [&] {
     // dnh-lint: ring-producer (dispatcher thread owns every produce side)
-    return worker.queue.try_produce_n(
+    return worker.queue->try_produce_n(
         stage.count - offset, [&](Item& slot, std::size_t i) {
           slot = stage.items[offset + i];
         });
@@ -845,11 +857,17 @@ void ShardedAnalyzer::flush_stage(std::size_t shard) {
   stage.count = 0;
   stage.records = 0;
   heartbeats_.beat(dispatch_hb_);
-  const std::size_t depth = worker.queue.size();
+  const std::size_t depth = worker.queue->size();
   if (depth > counters.high_water) counters.high_water = depth;
 }
 
 void ShardedAnalyzer::push_control(std::size_t shard, const Item& item) {
+  if (inline_mode()) {
+    // dnh-analyze: allow(alloc, a control item seals a window: once per
+    // window, not per frame)
+    consume(shard, item);
+    return;
+  }
   // Staged frames precede the control item in its shard's ring: rotation
   // and stop ordering relies on the frame channel being FIFO end to end.
   flush_stage(shard);
@@ -858,7 +876,7 @@ void ShardedAnalyzer::push_control(std::size_t shard, const Item& item) {
   Worker& worker = *workers_[shard];
   unsigned spins = 0;
   // dnh-lint: ring-producer (control items ride the dispatcher thread too)
-  while (!worker.queue.try_produce([&](Item& slot) { slot = item; }))
+  while (!worker.queue->try_produce([&](Item& slot) { slot = item; }))
     backoff(spins);
 }
 
@@ -900,11 +918,12 @@ bool ShardedAnalyzer::process_pcap(const std::string& path) {
   pcap::CaptureReadReport report;
   // The classic reader fills the pool's blocks, so its views go into the
   // rings as they are; pcapng reads into one reused buffer, and its views
-  // are copied like on_frame's.
+  // are copied like on_frame's. Inline mode has no pool: the reader uses
+  // its own blocks and on_frame sniffs each view in place.
   const bool ok = pcap::read_capture_views(
       path,
       [this](const pcap::FrameView& frame) {
-        if (pool_->in_reader_block(frame.data.data())) {
+        if (pool_ && pool_->in_reader_block(frame.data.data())) {
           if (admit(frame.timestamp))
             dispatch_frame(frame.data, frame.timestamp);
         } else {
@@ -930,7 +949,6 @@ void ShardedAnalyzer::note_capture_corruption(
   capture_degradation_.capture_truncated_tails += corruption.truncated_tail;
 }
 
-// dnh-analyze: shard-local-ids
 void ShardedAnalyzer::worker_loop(std::size_t index) {
   if (config_.pin_shards) pin_to_cpu(index);
   // Label + thread-start before the test hook: an injected stall that
@@ -941,98 +959,17 @@ void ShardedAnalyzer::worker_loop(std::size_t index) {
   obs::trace_event(obs::TraceStage::kShard, obs::TraceKind::kThreadStart,
                    obs::kNoSeq, static_cast<unsigned>(index));
   if (config_.worker_start_hook) config_.worker_start_hook(index);
-  Worker& worker = *workers_[index];
-  std::uint64_t seq = 0;
+  SpscRing<Item>& queue = *workers_[index]->queue;
   bool running = true;
   unsigned spins = 0;
-  const auto emit = [&](bool final_window, bool deliver, bool durable,
-                        util::Timestamp start, util::Timestamp end) {
-    ShardWindow msg;
-    msg.seq = seq++;
-    msg.shard = index;
-    msg.final_window = final_window;
-    msg.deliver = deliver;
-    msg.window = core::AnalysisWindow{start, end,
-                                      worker.sniffer.take_database(),
-                                      worker.sniffer.take_dns_log()};
-    if (deliver) {
-      // Seal: canonical per-shard order, established here so (a) the sort
-      // cost parallelizes across workers instead of serializing on the
-      // merge thread and (b) the spilled record is already in its final
-      // order — a recovered window replays without re-sorting.
-      canonicalize(msg.window);
-      obs::trace_event(obs::TraceStage::kShard, obs::TraceKind::kWindowSealed,
-                       msg.seq, static_cast<unsigned>(index),
-                       worker.frames_processed);
-      // Spill before the inbox hand-off. Windows inside the resume
-      // prefix are already durable from the crashed run and are skipped;
-      // a failed append degrades (the window just is not durable) and is
-      // tallied rather than fatal.
-      if (durable && !spill_writers_.empty() && msg.seq >= resume_prefix_) {
-        if (const auto extent =
-                spill_writers_[index]->append(msg.seq, msg.window)) {
-          msg.spilled = true;
-          msg.extent = *extent;
-          ++worker.windows_spilled;
-          worker.spill_bytes += extent->length;
-          spill_bytes_gauge_.add(static_cast<std::int64_t>(extent->length));
-          pipeline_metrics().spill_records.inc();
-        } else {
-          ++worker.spill_failures;
-        }
-      }
-    }
-    {
-      util::MutexLock lock{inbox_->mutex};
-      // Bounded inbox: sealing ahead of the merge thread parks here, so
-      // merge-stage memory is capped by `capacity` windows no matter how
-      // long the capture runs. Deadlock-free: the merge thread always
-      // drains whenever the queue is non-empty.
-      while (inbox_->queue.size() >= inbox_->capacity)
-        inbox_->cv_space.wait(lock);
-      inbox_->queue.push_back(std::move(msg));
-      if (inbox_->queue.size() > inbox_->peak)
-        inbox_->peak = inbox_->queue.size();
-      inbox_depth_gauge_.set(
-          static_cast<std::int64_t>(inbox_->queue.size()));
-    }
-    inbox_->cv.notify_one();
-  };
   while (running) {
     // Batch drain: one acquire/release pair covers up to kConsumeBatch
     // items. Safe even around control items — kStop is the last item its
     // ring will ever carry, so nothing can follow it within a batch.
     // dnh-lint: ring-consumer (this worker thread owns the consume side)
-    const std::size_t got =
-        worker.queue.try_consume_n(kConsumeBatch, [&](Item& item,
-                                                      std::size_t) {
-          switch (item.kind) {
-            case Item::Kind::kFrame: {
-              obs::SpanTimer span{pipeline_metrics().sniff_ns,
-                                  worker.sniff_gate};
-              worker.sniffer.on_frame({item.data, item.size}, item.ts);
-              ++worker.frames_processed;
-              break;
-            }
-            case Item::Kind::kRecord: {
-              flowexport::OrientedRecord record;
-              std::memcpy(&record, item.data, sizeof record);
-              worker.sniffer.on_export_record(record, item.ts);
-              break;
-            }
-            case Item::Kind::kRotate:
-              // Open flows stay live in the flow table across rotations,
-              // exactly like LiveAnalyzer: a flow lands in the window it
-              // completes in.
-              emit(false, true, true, item.ts, item.end);
-              break;
-            case Item::Kind::kStop:
-              worker.sniffer.finish();
-              emit(true, item.deliver, item.durable, item.ts, item.end);
-              running = false;
-              break;
-          }
-        });
+    const std::size_t got = queue.try_consume_n(
+        kConsumeBatch,
+        [&](Item& item, std::size_t) { running = consume(index, item); });
     if (got > 0) {
       spins = 0;
       heartbeats_.beat(worker_hb_[index]);
@@ -1042,13 +979,102 @@ void ShardedAnalyzer::worker_loop(std::size_t index) {
   }
 }
 
+// dnh-analyze: shard-local-ids
+bool ShardedAnalyzer::consume(std::size_t shard, const Item& item) {
+  Worker& worker = *workers_[shard];
+  switch (item.kind) {
+    case Item::Kind::kFrame: {
+      obs::SpanTimer span{pipeline_metrics().sniff_ns, worker.sniff_gate};
+      worker.sniffer->on_frame({item.data, item.size}, item.ts);
+      ++worker.frames_processed;
+      return true;
+    }
+    case Item::Kind::kRecord: {
+      flowexport::OrientedRecord record;
+      std::memcpy(&record, item.data, sizeof record);
+      worker.sniffer->on_export_record(record, item.ts);
+      return true;
+    }
+    case Item::Kind::kRotate:
+      seal(shard, false, true, true, item.ts, item.end);
+      return true;
+    case Item::Kind::kStop:
+      worker.sniffer->finish();
+      seal(shard, true, item.deliver, item.durable, item.ts, item.end);
+      return false;
+  }
+  return true;
+}
+
+void ShardedAnalyzer::seal(std::size_t shard, bool final_window, bool deliver,
+                           bool durable, util::Timestamp start,
+                           util::Timestamp end) {
+  Worker& worker = *workers_[shard];
+  ShardWindow msg;
+  msg.seq = worker.windows_sealed++;
+  msg.shard = shard;
+  msg.final_window = final_window;
+  msg.deliver = deliver;
+  msg.window = core::AnalysisWindow{start, end, worker.sniffer->take_database(),
+                                    worker.sniffer->take_dns_log()};
+  if (final_window) {
+    // Nothing reads the shard's resolver, flow table or Clist again: free
+    // them before the sort below, so their memory is not held through the
+    // final sort, spill and merge. The window's DomainTable lives on in
+    // its database.
+    worker.final_stats = worker.sniffer->stats();
+    worker.sniffer.reset();
+  }
+  if (deliver) {
+    // Seal: canonical per-shard order, established here so (a) the sort
+    // cost parallelizes across workers instead of serializing on the
+    // merge thread and (b) the spilled record is already in its final
+    // order — a recovered window replays without re-sorting.
+    canonicalize(msg.window);
+    obs::trace_event(obs::TraceStage::kShard, obs::TraceKind::kWindowSealed,
+                     msg.seq, static_cast<unsigned>(shard),
+                     worker.frames_processed);
+    // Spill before the hand-off. Windows inside the resume prefix are
+    // already durable from the crashed run and are skipped; a failed
+    // append degrades (the window just is not durable) and is tallied
+    // rather than fatal.
+    if (durable && !spill_writers_.empty() && msg.seq >= resume_prefix_) {
+      if (const auto extent =
+              spill_writers_[shard]->append(msg.seq, msg.window)) {
+        msg.spilled = true;
+        msg.extent = *extent;
+        ++worker.windows_spilled;
+        worker.spill_bytes += extent->length;
+        spill_bytes_gauge_.add(static_cast<std::int64_t>(extent->length));
+        pipeline_metrics().spill_records.inc();
+      } else {
+        ++worker.spill_failures;
+      }
+    }
+  }
+  if (inline_mode()) {
+    ingest(std::move(msg));
+    return;
+  }
+  {
+    util::MutexLock lock{inbox_->mutex};
+    // Bounded inbox: sealing ahead of the merge thread parks here, so
+    // merge-stage memory is capped by `capacity` windows no matter how
+    // long the capture runs. Deadlock-free: the merge thread always
+    // drains whenever the queue is non-empty.
+    while (inbox_->queue.size() >= inbox_->capacity)
+      inbox_->cv_space.wait(lock);
+    inbox_->queue.push_back(std::move(msg));
+    if (inbox_->queue.size() > inbox_->peak)
+      inbox_->peak = inbox_->queue.size();
+    inbox_depth_gauge_.set(static_cast<std::int64_t>(inbox_->queue.size()));
+  }
+  inbox_->cv.notify_one();
+}
+
 void ShardedAnalyzer::merge_loop() {
   obs::FlightRecorder::global().set_thread_label("merge");
   obs::trace_event(obs::TraceStage::kMerge, obs::TraceKind::kThreadStart);
-  // dnh-lint: allow(hot-path-bound) holds at most one in-flight window
-  // set per shard; erased as soon as every shard reports the sequence.
-  std::map<std::uint64_t, std::vector<ShardWindow>> pending;
-  std::uint64_t next_seq = 0;
   bool done = false;
   while (!done) {
     ShardWindow msg;
@@ -1064,58 +1090,59 @@ void ShardedAnalyzer::merge_loop() {
     }
     inbox_->cv_space.notify_one();
     heartbeats_.beat(merge_hb_);
-    obs::trace_event(obs::TraceStage::kMerge, obs::TraceKind::kMergeIngested,
+    done = ingest(std::move(msg));
+  }
+}
+
+bool ShardedAnalyzer::ingest(ShardWindow&& msg) {
+  obs::trace_event(obs::TraceStage::kMerge, obs::TraceKind::kMergeIngested,
+                   msg.seq, static_cast<unsigned>(msg.shard),
+                   msg.spilled ? msg.extent.length : 0);
+  // Journal the seal as soon as the message arrives: the worker's
+  // segment fsync happened before the hand-off, so the ordering
+  // invariant (record durable before the manifest references it) holds,
+  // and durability does not wait for the slowest shard.
+  if (msg.spilled && manifest_) {
+    manifest_->append_seal(msg.seq, static_cast<std::uint32_t>(msg.shard),
+                           spill_writers_[msg.shard]->segment(), msg.extent,
+                           seal_seq_++);
+    obs::trace_event(obs::TraceStage::kMerge, obs::TraceKind::kWindowJournaled,
                      msg.seq, static_cast<unsigned>(msg.shard),
-                     msg.spilled ? msg.extent.length : 0);
-    // Journal the seal as soon as the message arrives: the worker's
-    // segment fsync happened before the inbox hand-off, so the ordering
-    // invariant (record durable before the manifest references it)
-    // holds, and durability does not wait for the slowest shard.
-    if (msg.spilled && manifest_) {
-      manifest_->append_seal(msg.seq, static_cast<std::uint32_t>(msg.shard),
-                             spill_writers_[msg.shard]->segment(),
-                             msg.extent, seal_seq_++);
-      obs::trace_event(obs::TraceStage::kMerge,
-                       obs::TraceKind::kWindowJournaled, msg.seq,
-                       static_cast<unsigned>(msg.shard), msg.extent.length);
+                     msg.extent.length);
+  }
+  pending_[msg.seq].push_back(std::move(msg));
+  // Merge strictly in sequence order, only once every shard has reported
+  // the sequence number.
+  while (true) {
+    const auto it = pending_.find(next_seq_);
+    if (it == pending_.end() || it->second.size() < config_.shards)
+      return false;
+    const bool final_window = it->second.front().final_window;
+    const bool deliver = it->second.front().deliver;
+    const auto t0 = std::chrono::steady_clock::now();
+    core::AnalysisWindow merged = retire_window(next_seq_, it->second);
+    const auto t1 = std::chrono::steady_clock::now();
+    const util::Duration elapsed = steady_elapsed(t0, t1);
+    pending_.erase(it);
+    ++next_seq_;
+    if (deliver) {
+      merge_total_ = merge_total_ + elapsed;
+      if (elapsed > merge_max_) merge_max_ = elapsed;
+      ++windows_merged_;
+      // Merges are per-window (rare), so the span is unsampled.
+      pipeline_metrics().merge_ns.observe(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count()));
+      pipeline_metrics().windows_merged.inc();
+      if (sink_) sink_(std::move(merged));
+      obs::trace_event(
+          obs::TraceStage::kMerge, obs::TraceKind::kWindowEmitted,
+          next_seq_ - 1, obs::kNoShard,
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                  .count()));
     }
-    pending[msg.seq].push_back(std::move(msg));
-    // Merge strictly in sequence order, only once every shard has
-    // reported the sequence number — windows reach the sink in the same
-    // order LiveAnalyzer would deliver them.
-    while (true) {
-      const auto it = pending.find(next_seq);
-      if (it == pending.end() || it->second.size() < config_.shards) break;
-      const bool final_window = it->second.front().final_window;
-      const bool deliver = it->second.front().deliver;
-      const auto t0 = std::chrono::steady_clock::now();
-      core::AnalysisWindow merged = retire_window(next_seq, it->second);
-      const auto t1 = std::chrono::steady_clock::now();
-      const util::Duration elapsed = steady_elapsed(t0, t1);
-      pending.erase(it);
-      ++next_seq;
-      if (deliver) {
-        merge_total_ = merge_total_ + elapsed;
-        if (elapsed > merge_max_) merge_max_ = elapsed;
-        ++windows_merged_;
-        // Merges are per-window (rare), so the span is unsampled.
-        pipeline_metrics().merge_ns.observe(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()));
-        pipeline_metrics().windows_merged.inc();
-        if (sink_) sink_(std::move(merged));
-        obs::trace_event(
-            obs::TraceStage::kMerge, obs::TraceKind::kWindowEmitted,
-            next_seq - 1, obs::kNoShard,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count()));
-      }
-      if (final_window) {
-        done = true;
-        break;
-      }
-    }
+    if (final_window) return true;
   }
 }
 
@@ -1186,6 +1213,9 @@ void kway_merge_into(std::vector<core::AnalysisWindow>& parts,
 // flows are re-interned by out.db.add inside the k-way merge)
 core::AnalysisWindow ShardedAnalyzer::merge_windows(
     std::vector<ShardWindow>& parts) {
+  // One shard (inline mode): its window is already canonical and its ids
+  // and views belong to its own table, so it is handed over whole.
+  if (parts.size() == 1) return std::move(parts.front().window);
   core::AnalysisWindow out;
   out.start = parts.front().window.start;
   out.end = parts.front().window.end;
@@ -1211,6 +1241,9 @@ core::AnalysisWindow ShardedAnalyzer::merge_windows(
 
 core::AnalysisWindow ShardedAnalyzer::merge_recovered(
     std::vector<core::AnalysisWindow>& parts) {
+  // A window spilled by a one-shard run was sorted before it was spilled
+  // and carries its own table: nothing to merge.
+  if (parts.size() == 1) return std::move(parts.front());
   core::AnalysisWindow out;
   out.start = parts.front().start;
   out.end = parts.front().end;
@@ -1266,11 +1299,12 @@ core::AnalysisWindow ShardedAnalyzer::retire_window(
 void ShardedAnalyzer::finish() {
   if (finished_) return;
   finished_ = true;
+  pipeline_metrics().frames_dispatched.add(frames_dispatched_ & 63);
   obs::trace_event(obs::TraceStage::kDispatch, obs::TraceKind::kPipelineFinish,
                    rotations_, obs::kNoShard, frames_dispatched_);
 
   // The final window's bounds: windowed mode closes the current grid
-  // window (LiveAnalyzer parity); single-window mode spans the stream.
+  // window; single-window mode spans the stream.
   util::Timestamp start;
   util::Timestamp end;
   if (started_) {
@@ -1287,16 +1321,17 @@ void ShardedAnalyzer::finish() {
     item.kind = Item::Kind::kStop;
     item.ts = start;
     item.end = end;
-    // An empty run delivers no window, matching LiveAnalyzer; the stop
-    // window still flows through the merge stage to terminate it. A
-    // drained run's flush window is delivered but never journaled: it is
-    // truncated at the drain point, and --resume must recompute it.
+    // An empty run delivers no window; the stop window still flows
+    // through the merge stage to terminate it. A drained run's flush
+    // window is delivered but never journaled: it is truncated at the
+    // drain point, and --resume must recompute it.
     item.deliver = started_;
     item.durable = !draining_;
     push_control(i, item);
   }
-  for (auto& worker : workers_) worker->thread.join();
-  merge_thread_.join();
+  for (auto& worker : workers_)
+    if (worker->thread.joinable()) worker->thread.join();
+  if (merge_thread_.joinable()) merge_thread_.join();
   // The watchdog keeps running until after the joins — a hang in the
   // drain itself is exactly what it exists to catch — and stops here,
   // before its stalled() verdict is folded into stats.
@@ -1307,9 +1342,9 @@ void ShardedAnalyzer::finish() {
   // folding its peaks and publishing the drained-queue gauges.
   depth_sampler_.reset();
   routes_gauge_.set(static_cast<std::int64_t>(routes_.size()));
-  for (std::size_t i = 0; i < config_.shards; ++i)
+  for (std::size_t i = 0; i < depth_gauges_.size(); ++i)
     depth_gauges_[i].set(
-        static_cast<std::int64_t>(workers_[i]->queue.size()));
+        static_cast<std::int64_t>(workers_[i]->queue->size()));
 
   stats_ = PipelineStats{};
   stats_.shards.resize(config_.shards);
@@ -1322,20 +1357,20 @@ void ShardedAnalyzer::finish() {
     shard.queue_peak_sampled =
         sampled_peaks_[i].load(std::memory_order_relaxed);
     shard.frames_processed = workers_[i]->frames_processed;
-    shard.sniffer = workers_[i]->sniffer.stats();
+    shard.sniffer = workers_[i]->final_stats;
     accumulate(stats_.merged, shard.sniffer);
     stats_.frames_dropped += shard.frames_dropped;
     stats_.windows_spilled += workers_[i]->windows_spilled;
     stats_.spill_bytes += workers_[i]->spill_bytes;
     stats_.spill_failures += workers_[i]->spill_failures;
   }
-  stats_.frame_blocks = pool_->blocks();
+  stats_.frame_blocks = pool_ ? pool_->blocks() : 0;
   stats_.frames_dispatched = frames_dispatched_;
   stats_.records_dispatched = records_dispatched_;
   stats_.windows_merged = windows_merged_;
   stats_.merge_total = merge_total_;
   stats_.merge_max = merge_max_;
-  {
+  if (inbox_) {
     util::MutexLock lock{inbox_->mutex};
     stats_.merge_inbox_peak = inbox_->peak;
   }

@@ -19,6 +19,13 @@
 // the capture length. The merged FlowDatabase and DNS log are
 // byte-identical to what the single-threaded Sniffer would have produced.
 //
+// Inline mode: with one shard there is nothing to route or merge, so the
+// same engine runs on the caller's thread — no worker or merge thread, no
+// ring, no frame pool, no k-way merge. Frames go straight from on_frame to
+// the shard's Sniffer, and sealing, spilling, journaling and the sink run
+// in line. Window rotation, spill/resume, drain and PipelineStats keep one
+// implementation for every shard count.
+//
 // Durability (docs/recovery.md): with a spill directory configured, every
 // sealed per-shard window is CRC-framed into that shard's spill segment
 // and fsync'd before the merge thread journals it in the manifest; a
@@ -42,6 +49,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -81,8 +89,10 @@ enum class BackpressurePolicy {
 };
 
 struct PipelineConfig {
-  /// Worker shard count (the CLI's --jobs). 1 still runs the full
-  /// dispatcher/worker/merge machinery with a single shard.
+  /// Worker shard count (the CLI's --jobs). 1 runs inline on the caller's
+  /// thread: no worker or merge thread, so worker_start_hook, pin_shards,
+  /// queue_capacity, backpressure, merge_inbox_capacity and the watchdog
+  /// have no stage to act on.
   std::size_t shards = 2;
   /// Per-shard frame-queue capacity in frames (rounded up to a power of
   /// two). Sized so a burst at line rate amortizes scheduling jitter
@@ -97,9 +107,10 @@ struct PipelineConfig {
   /// "Per-shard Clist memory").
   core::SnifferConfig sniffer;
   /// Window rotation length; zero (default) delivers one merged window
-  /// covering the whole stream at finish(). Non-zero mirrors
-  /// core::LiveAnalyzer: boundaries aligned to multiples of the length,
-  /// one merged window delivered per boundary crossed.
+  /// covering the whole stream at finish(). Non-zero aligns boundaries to
+  /// multiples of the length and delivers one merged window per boundary
+  /// crossed; flows still open at a boundary stay live and land in the
+  /// window they complete in.
   util::Duration window{};
   /// Best-effort CPU pinning (the CLI's --pin-shards): shard worker i is
   /// affined to CPU (i+1) % hw_threads via sched_setaffinity, keeping each
@@ -202,13 +213,14 @@ inline void canonicalize(core::AnalysisWindow& window) {
   canonicalize(window.dns_log);
 }
 
-/// The multi-threaded streaming engine. Feed frames from ONE thread (the
-/// caller becomes the dispatcher stage); windows arrive on the merge
-/// thread via the sink; finish() flushes, joins, and freezes stats().
+/// The streaming engine. Feed frames from ONE thread (the caller becomes
+/// the dispatcher stage, and with one shard every stage); windows arrive
+/// via the sink; finish() flushes, joins, and freezes stats().
 class ShardedAnalyzer {
  public:
-  /// Receives each merged window, canonically sorted. Invoked on the
-  /// merge thread, strictly in window order.
+  /// Receives each merged window, canonically sorted, strictly in window
+  /// order. Invoked on the merge thread, or on the caller's thread in
+  /// inline mode; it must not feed the analyzer.
   using WindowSink = std::function<void(core::AnalysisWindow&&)>;
 
   ShardedAnalyzer(PipelineConfig config, WindowSink sink);
@@ -221,7 +233,8 @@ class ShardedAnalyzer {
   /// bytes are copied once into the dispatcher's current frame block and
   /// the ring slot carries a view of the copy (at most
   /// pcap::kReadBlockBytes of a frame are kept; no IPv4 packet is near
-  /// that). Frames must arrive in non-decreasing timestamp order for the
+  /// that). Inline mode hands the caller's buffer straight to the shard's
+  /// Sniffer. Frames must arrive in non-decreasing timestamp order for the
   /// determinism guarantee to hold (same contract as pcap replay).
   void on_frame(net::BytesView frame, util::Timestamp ts);
 
@@ -240,7 +253,8 @@ class ShardedAnalyzer {
   /// pipeline. Returns false if the file cannot be opened or aborts
   /// mid-stream (see error()); frames already dispatched are processed.
   /// Classic pcap frames are not copied: the reader fills blocks from the
-  /// dispatcher's pool and ring slots point into them.
+  /// dispatcher's pool and ring slots point into them (inline mode sniffs
+  /// the reader's views in place).
   bool process_pcap(const std::string& path);
 
   /// Flushes every shard, merges the final window, joins all threads.
@@ -299,16 +313,24 @@ class ShardedAnalyzer {
   //  - dispatcher thread (the caller of on_frame/process_pcap/finish):
   //    route_frame/dispatch_frame/push_control/broadcast_rotation, all
   //    ring produce sides, and every `Dispatcher-owned` member below.
-  //  - worker thread i: worker_loop(i), shard i's ring consume side, and
-  //    Worker::sniffer/frames_processed until finish() joins it.
-  //  - merge thread: merge_loop/merge_windows and the merge-owned
-  //    members; hands windows to the sink strictly in order.
+  //  - worker thread i: worker_loop(i) -> consume/seal, shard i's ring
+  //    consume side, and Worker::sniffer/frames_processed until finish()
+  //    joins it.
+  //  - merge thread: merge_loop -> ingest/merge_windows and the
+  //    merge-owned members; hands windows to the sink strictly in order.
+  //  - inline mode (one shard): the caller's thread plays all three
+  //    roles; push_control calls consume, and seal calls ingest.
   // Cross-thread state is either a lock-free channel (SpscRing), a
   // mutex-guarded inbox (MergeInbox, annotated), or atomics
   // (sampled_peaks_).
-  /// on_frame's bookkeeping (drain, first timestamp, window rotation,
-  /// counters); false when the frame is to be ignored.
+  /// One shard and no threads: the caller's thread runs everything.
+  bool inline_mode() const noexcept { return config_.shards == 1; }
+  /// on_frame's bookkeeping (drain, window clock, counters); false when
+  /// the frame is to be ignored.
   bool admit(util::Timestamp ts);
+  /// The window clock: the first timestamp aligns the window grid, and
+  /// every boundary `ts` has crossed broadcasts a rotation.
+  void advance_clock(util::Timestamp ts);
   /// Routes and stages one frame whose bytes already live in a pool block.
   void dispatch_frame(net::BytesView frame, util::Timestamp ts);
   /// Appends an item to shard's staging buffer, flushing it when full.
@@ -319,7 +341,17 @@ class ShardedAnalyzer {
   void push_control(std::size_t shard, const Item& item);
   void broadcast_rotation(util::Timestamp start, util::Timestamp end);
   void worker_loop(std::size_t index);
+  /// Applies one ring item to `shard`; false after kStop.
+  bool consume(std::size_t shard, const Item& item);
+  /// Takes `shard`'s window out of its Sniffer, sorts and spills it, and
+  /// hands it to the merge stage. The final seal frees the Sniffer.
+  void seal(std::size_t shard, bool final_window, bool deliver, bool durable,
+            util::Timestamp start, util::Timestamp end);
   void merge_loop();
+  /// The merge stage's per-message step: journal the seal, then retire
+  /// every window all shards have sealed, in order, into the sink. True
+  /// once the final window has been retired.
+  bool ingest(ShardWindow&& msg);
   /// K-way merge of canonically pre-sorted per-shard windows.
   core::AnalysisWindow merge_windows(std::vector<ShardWindow>& parts);
   /// Merge of windows recovered from spill (DomainTable::absorb remap).
@@ -356,7 +388,7 @@ class ShardedAnalyzer {
   // the arriving packet and are swept on the flow table's cadence.
   util::FlatHash<flow::FlowKey, Route> routes_;
   /// Blocks every frame (and flow-export record) in flight lives in; ring
-  /// slots point into them. Dispatcher-thread-only.
+  /// slots point into them. Dispatcher-thread-only; null in inline mode.
   std::unique_ptr<FramePool> pool_;
   /// Record orientation state (flow-export ingest). Dispatcher-thread-only.
   flowexport::RecordOrienter orienter_;
@@ -382,11 +414,16 @@ class ShardedAnalyzer {
   std::uint64_t resume_prefix_ = 0;  ///< windows served from spill
 
   // Merge channel (workers -> merge thread; per-window, off the hot path).
+  // Null in inline mode.
   struct MergeInbox;
   std::unique_ptr<MergeInbox> inbox_;
   std::thread merge_thread_;
 
   // Merge-thread-owned until finish() joins.
+  // dnh-lint: allow(hot-path-bound) holds at most one in-flight window
+  // set per shard; erased as soon as every shard reports the sequence.
+  std::map<std::uint64_t, std::vector<ShardWindow>> pending_;
+  std::uint64_t next_seq_ = 0;  ///< next window to retire
   std::uint64_t windows_merged_ = 0;
   util::Duration merge_total_{};
   util::Duration merge_max_{};

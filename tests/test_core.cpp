@@ -786,150 +786,3 @@ TEST(FlowDbIo, CleanLenientReadReportsNoErrors) {
 
 }  // namespace
 }  // namespace dnh::core
-
-#include "core/live.hpp"
-
-namespace dnh::core {
-namespace {
-
-class LiveAnalyzerTest : public SnifferTest {
- protected:
-  static LiveConfig hourly() {
-    LiveConfig config;
-    config.window = util::Duration::hours(1);
-    return config;
-  }
-
-  /// One DNS response + complete flow at second `t`.
-  void feed_exchange(LiveAnalyzer& live, std::int64_t t,
-                     const std::string& fqdn, std::uint16_t cport) {
-    const auto msg = dns::make_a_response(
-        1, *dns::DnsName::from_string(fqdn), {kServer}, 300);
-    live.on_frame(packet::build_udp_frame(
-                      udp_spec(kResolver, kClient, 53, 33333), msg.encode()),
-                  Timestamp::from_seconds(t));
-    packet::FrameSpec s;
-    s.src_ip = kClient;
-    s.dst_ip = kServer;
-    s.src_port = cport;
-    s.dst_port = 80;
-    packet::FrameSpec back = s;
-    std::swap(back.src_ip, back.dst_ip);
-    std::swap(back.src_port, back.dst_port);
-    live.on_frame(
-        packet::build_tcp_frame(s, packet::tcpflags::kSyn, 0, 0, {}),
-        Timestamp::from_seconds(t + 1));
-    live.on_frame(packet::build_tcp_frame(
-                      s, packet::tcpflags::kFin | packet::tcpflags::kAck, 1,
-                      1, {}),
-                  Timestamp::from_seconds(t + 2));
-    live.on_frame(packet::build_tcp_frame(
-                      back, packet::tcpflags::kFin | packet::tcpflags::kAck,
-                      1, 2, {}),
-                  Timestamp::from_seconds(t + 3));
-  }
-};
-
-TEST_F(LiveAnalyzerTest, RotatesWindowsAndPartitionsFlows) {
-  std::vector<AnalysisWindow> windows;
-  LiveAnalyzer live{hourly(), [&](AnalysisWindow&& window) {
-                      windows.push_back(std::move(window));
-                    }};
-  feed_exchange(live, 100, "early.example.com", 50000);
-  feed_exchange(live, 4000, "late.example.com", 50001);  // next hour
-  live.finish();
-
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(live.windows_delivered(), 2u);
-  ASSERT_EQ(windows[0].db.size(), 1u);
-  EXPECT_EQ(windows[0].db.flows()[0].fqdn, "early.example.com");
-  EXPECT_EQ(windows[0].dns_log.size(), 1u);
-  ASSERT_EQ(windows[1].db.size(), 1u);
-  EXPECT_EQ(windows[1].db.flows()[0].fqdn, "late.example.com");
-  // Window boundaries aligned to the hour.
-  EXPECT_EQ(windows[0].start.seconds_since_epoch() % 3600, 0);
-  EXPECT_EQ(windows[0].end, windows[1].start);
-}
-
-TEST_F(LiveAnalyzerTest, ResolverStateSurvivesRotation) {
-  std::vector<AnalysisWindow> windows;
-  LiveAnalyzer live{hourly(), [&](AnalysisWindow&& window) {
-                      windows.push_back(std::move(window));
-                    }};
-  // Response in hour 0; the flow it labels opens in hour 1.
-  const auto msg = dns::make_a_response(
-      1, *dns::DnsName::from_string("cached.example.com"), {kServer}, 300);
-  live.on_frame(packet::build_udp_frame(
-                    udp_spec(kResolver, kClient, 53, 33333), msg.encode()),
-                Timestamp::from_seconds(3500));
-  packet::FrameSpec s;
-  s.src_ip = kClient;
-  s.dst_ip = kServer;
-  s.src_port = 51000;
-  s.dst_port = 80;
-  live.on_frame(packet::build_tcp_frame(s, packet::tcpflags::kSyn, 0, 0, {}),
-                Timestamp::from_seconds(4200));
-  live.finish();
-
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[0].db.size(), 0u);  // flow still open at rotation
-  ASSERT_EQ(windows[1].db.size(), 1u);
-  EXPECT_EQ(windows[1].db.flows()[0].fqdn, "cached.example.com");
-  EXPECT_TRUE(windows[1].db.flows()[0].tagged_at_start);
-}
-
-TEST_F(LiveAnalyzerTest, IdleGapsDeliverEmptyWindows) {
-  std::vector<AnalysisWindow> windows;
-  LiveAnalyzer live{hourly(), [&](AnalysisWindow&& window) {
-                      windows.push_back(std::move(window));
-                    }};
-  feed_exchange(live, 100, "a.example.com", 50000);
-  // 3-hour silence, then traffic again.
-  feed_exchange(live, 3 * 3600 + 100, "b.example.com", 50001);
-  live.finish();
-  ASSERT_EQ(windows.size(), 4u);
-  EXPECT_EQ(windows[0].db.size(), 1u);
-  EXPECT_EQ(windows[1].db.size(), 0u);
-  EXPECT_EQ(windows[2].db.size(), 0u);
-  EXPECT_EQ(windows[3].db.size(), 1u);
-}
-
-TEST_F(LiveAnalyzerTest, FlowStartHookStillFires) {
-  int hooked = 0;
-  LiveAnalyzer live{hourly(), [](AnalysisWindow&&) {}};
-  live.set_flow_start_hook(
-      [&](const flow::FlowRecord&, std::string_view) { ++hooked; });
-  feed_exchange(live, 50, "x.example.com", 50000);
-  live.finish();
-  EXPECT_EQ(hooked, 1);
-}
-
-TEST_F(LiveAnalyzerTest, RotationMovesWindowsWithoutSinkStillCounts) {
-  // Null sink: rotation must still take (and drop) each window so the
-  // next one starts empty — and windows_delivered() must keep counting.
-  LiveAnalyzer unsinked{hourly(), nullptr};
-  feed_exchange(unsinked, 100, "a.example.com", 50000);
-  feed_exchange(unsinked, 4000, "b.example.com", 50001);
-  unsinked.finish();
-  EXPECT_EQ(unsinked.windows_delivered(), 2u);
-
-  // With a sink: each delivered window contains exactly its own flows
-  // (take_database really cleared the previous window's state), and the
-  // delivered count matches the sink invocations.
-  std::size_t delivered = 0;
-  std::vector<std::size_t> sizes;
-  LiveAnalyzer live{hourly(), [&](AnalysisWindow&& window) {
-                      ++delivered;
-                      sizes.push_back(window.db.size());
-                    }};
-  feed_exchange(live, 100, "a.example.com", 50000);
-  feed_exchange(live, 4000, "b.example.com", 50001);
-  live.finish();
-  EXPECT_EQ(live.windows_delivered(), delivered);
-  ASSERT_EQ(sizes.size(), 2u);
-  EXPECT_EQ(sizes[0], 1u);
-  EXPECT_EQ(sizes[1], 1u);  // not cumulative: the move emptied window 0
-}
-
-}  // namespace
-}  // namespace dnh::core

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/flowdb_io.hpp"
-#include "core/live.hpp"
 #include "core/sniffer.hpp"
 #include "dns/message.hpp"
 #include "faultinject/faultinject.hpp"
@@ -425,43 +424,250 @@ TEST_F(PipelineTest, ShardCountIsInvisibleAcrossCounts) {
   }
 }
 
-TEST_F(PipelineTest, WindowedRotationMatchesLiveAnalyzer) {
+/// Reference rotation over a bare Sniffer: at every window boundary the
+/// frame clock crosses, the database and DNS log are taken as one window
+/// (open flows stay in the flow table), and finish() closes the last one.
+std::vector<core::AnalysisWindow> rotate_with_sniffer(
+    const std::vector<pcap::Frame>& frames, util::Duration window) {
+  core::Sniffer sniffer;
+  std::vector<core::AnalysisWindow> windows;
+  const std::int64_t width = window.total_micros();
+  util::Timestamp start = util::Timestamp::from_micros(
+      frames.front().timestamp.micros_since_epoch() / width * width);
+  const auto take = [&] {
+    windows.push_back({start, start + window, sniffer.take_database(),
+                       sniffer.take_dns_log()});
+    start = start + window;
+  };
+  for (const auto& frame : frames) {
+    while (frame.timestamp >= start + window) take();
+    sniffer.on_frame(frame.data, frame.timestamp);
+  }
+  sniffer.finish();
+  take();
+  for (auto& w : windows) pipeline::canonicalize(w);
+  return windows;
+}
+
+TEST_F(PipelineTest, WindowedRotationMatchesSnifferRotation) {
   const util::Duration window = util::Duration::minutes(10);
+  const std::vector<core::AnalysisWindow> reference =
+      rotate_with_sniffer(*frames_, window);
+  ASSERT_GE(reference.size(), 4u);  // 40 min / 10 min + final partial
 
-  core::LiveConfig live_config;
-  live_config.window = window;
-  std::vector<core::AnalysisWindow> live_windows;
-  core::LiveAnalyzer live{live_config, [&](core::AnalysisWindow&& w) {
-                            live_windows.push_back(std::move(w));
-                          }};
-  for (const auto& frame : *frames_)
-    live.on_frame(frame.data, frame.timestamp);
-  live.finish();
-  for (auto& w : live_windows) pipeline::canonicalize(w);
+  for (const std::size_t shards : {1u, 3u}) {
+    pipeline::PipelineConfig config;
+    config.shards = shards;
+    config.window = window;
+    std::vector<core::AnalysisWindow> merged_windows;
+    pipeline::ShardedAnalyzer analyzer{
+        config, [&](core::AnalysisWindow&& w) {
+          merged_windows.push_back(std::move(w));
+        }};
+    for (const auto& frame : *frames_)
+      analyzer.on_frame(frame.data, frame.timestamp);
+    analyzer.finish();
 
+    ASSERT_EQ(merged_windows.size(), reference.size()) << "shards=" << shards;
+    for (std::size_t i = 0; i < merged_windows.size(); ++i) {
+      EXPECT_EQ(merged_windows[i].start, reference[i].start) << "w" << i;
+      EXPECT_EQ(merged_windows[i].end, reference[i].end) << "w" << i;
+      EXPECT_EQ(tsv(merged_windows[i].db), tsv(reference[i].db))
+          << "shards=" << shards << " window " << i;
+      EXPECT_EQ(merged_windows[i].dns_log.size(), reference[i].dns_log.size())
+          << "shards=" << shards << " window " << i;
+    }
+    EXPECT_EQ(analyzer.stats().windows_merged, merged_windows.size());
+  }
+}
+
+// ------------------------------------------------------------ inline mode
+
+/// Thread count of this process (Linux), or 0 where /proc is absent.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  std::error_code ec;
+  for (fs::directory_iterator it{"/proc/self/task", ec}, end; !ec && it != end;
+       it.increment(ec))
+    ++n;
+  return n;
+}
+
+TEST_F(PipelineTest, InlineModeRunsOnTheCallersThread) {
+  const Baseline baseline = run_baseline();
+  const std::size_t threads_before = thread_count();
   pipeline::PipelineConfig config;
-  config.shards = 3;
-  config.window = window;
-  std::vector<core::AnalysisWindow> merged_windows;
+  config.shards = 1;
+  core::AnalysisWindow merged;
+  std::thread::id sink_thread;
+  std::size_t threads_in_sink = 0;
   pipeline::ShardedAnalyzer analyzer{
       config, [&](core::AnalysisWindow&& w) {
-        merged_windows.push_back(std::move(w));
+        sink_thread = std::this_thread::get_id();
+        threads_in_sink = thread_count();
+        merged = std::move(w);
       }};
+  EXPECT_EQ(thread_count(), threads_before);  // no worker, merge or watchdog
   for (const auto& frame : *frames_)
     analyzer.on_frame(frame.data, frame.timestamp);
   analyzer.finish();
 
-  ASSERT_EQ(merged_windows.size(), live_windows.size());
-  ASSERT_GE(merged_windows.size(), 4u);  // 40 min / 10 min + final partial
-  for (std::size_t i = 0; i < merged_windows.size(); ++i) {
-    EXPECT_EQ(merged_windows[i].start, live_windows[i].start) << "w" << i;
-    EXPECT_EQ(merged_windows[i].end, live_windows[i].end) << "w" << i;
-    EXPECT_EQ(tsv(merged_windows[i].db), tsv(live_windows[i].db))
-        << "window " << i;
-    EXPECT_EQ(merged_windows[i].dns_log.size(), live_windows[i].dns_log.size())
-        << "window " << i;
+  EXPECT_EQ(sink_thread, std::this_thread::get_id());
+  EXPECT_EQ(threads_in_sink, threads_before);
+  EXPECT_EQ(tsv(merged.db), tsv(baseline.db));
+  const auto& stats = analyzer.stats();
+  EXPECT_EQ(stats.frame_blocks, 0u);
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].frames_enqueued, frames_->size());
+  EXPECT_EQ(stats.shards[0].frames_processed, frames_->size());
+  EXPECT_EQ(stats.frames_dispatched, frames_->size());
+  expect_stats_equal(stats.merged, baseline.stats);
+}
+
+/// One shard with hourly windows, fed hand-built exchanges.
+class PipelineInlineTest : public ::testing::Test {
+ protected:
+  const net::Ipv4Address kClient{10, 0, 0, 7};
+  const net::Ipv4Address kResolver{10, 200, 0, 1};
+  const net::Ipv4Address kServer{93, 184, 216, 34};
+
+  static pipeline::PipelineConfig hourly() {
+    pipeline::PipelineConfig config;
+    config.shards = 1;
+    config.window = util::Duration::hours(1);
+    return config;
   }
-  EXPECT_EQ(analyzer.stats().windows_merged, merged_windows.size());
+
+  /// A DNS response for `fqdn` (answer kServer) reaching kClient at `t`.
+  void feed_response(pipeline::ShardedAnalyzer& analyzer, std::int64_t t,
+                     const std::string& fqdn) {
+    const auto msg = dns::make_a_response(
+        1, *dns::DnsName::from_string(fqdn), {kServer}, 300);
+    packet::FrameSpec s;
+    s.src_ip = kResolver;
+    s.dst_ip = kClient;
+    s.src_port = 53;
+    s.dst_port = 33333;
+    analyzer.on_frame(packet::build_udp_frame(s, msg.encode()),
+                      util::Timestamp::from_seconds(t));
+  }
+
+  /// One DNS response + complete flow starting at second `t`.
+  void feed_exchange(pipeline::ShardedAnalyzer& analyzer, std::int64_t t,
+                     const std::string& fqdn, std::uint16_t cport) {
+    feed_response(analyzer, t, fqdn);
+    packet::FrameSpec s;
+    s.src_ip = kClient;
+    s.dst_ip = kServer;
+    s.src_port = cport;
+    s.dst_port = 80;
+    packet::FrameSpec back = s;
+    std::swap(back.src_ip, back.dst_ip);
+    std::swap(back.src_port, back.dst_port);
+    analyzer.on_frame(
+        packet::build_tcp_frame(s, packet::tcpflags::kSyn, 0, 0, {}),
+        util::Timestamp::from_seconds(t + 1));
+    analyzer.on_frame(
+        packet::build_tcp_frame(
+            s, packet::tcpflags::kFin | packet::tcpflags::kAck, 1, 1, {}),
+        util::Timestamp::from_seconds(t + 2));
+    analyzer.on_frame(
+        packet::build_tcp_frame(
+            back, packet::tcpflags::kFin | packet::tcpflags::kAck, 1, 2, {}),
+        util::Timestamp::from_seconds(t + 3));
+  }
+};
+
+TEST_F(PipelineInlineTest, RotatesWindowsAndPartitionsFlows) {
+  std::vector<core::AnalysisWindow> windows;
+  pipeline::ShardedAnalyzer analyzer{
+      hourly(), [&](core::AnalysisWindow&& window) {
+        windows.push_back(std::move(window));
+      }};
+  feed_exchange(analyzer, 100, "early.example.com", 50000);
+  feed_exchange(analyzer, 4000, "late.example.com", 50001);  // next hour
+  analyzer.finish();
+
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(analyzer.stats().windows_merged, 2u);
+  ASSERT_EQ(windows[0].db.size(), 1u);
+  EXPECT_EQ(windows[0].db.flows()[0].fqdn, "early.example.com");
+  EXPECT_EQ(windows[0].dns_log.size(), 1u);
+  ASSERT_EQ(windows[1].db.size(), 1u);
+  EXPECT_EQ(windows[1].db.flows()[0].fqdn, "late.example.com");
+  // Window boundaries aligned to the hour.
+  EXPECT_EQ(windows[0].start.seconds_since_epoch() % 3600, 0);
+  EXPECT_EQ(windows[0].end, windows[1].start);
+}
+
+TEST_F(PipelineInlineTest, ResolverStateSurvivesRotation) {
+  std::vector<core::AnalysisWindow> windows;
+  pipeline::ShardedAnalyzer analyzer{
+      hourly(), [&](core::AnalysisWindow&& window) {
+        windows.push_back(std::move(window));
+      }};
+  // Response in hour 0; the flow it labels opens in hour 1.
+  feed_response(analyzer, 3500, "cached.example.com");
+  packet::FrameSpec s;
+  s.src_ip = kClient;
+  s.dst_ip = kServer;
+  s.src_port = 51000;
+  s.dst_port = 80;
+  analyzer.on_frame(
+      packet::build_tcp_frame(s, packet::tcpflags::kSyn, 0, 0, {}),
+      util::Timestamp::from_seconds(4200));
+  analyzer.finish();
+
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_EQ(windows[0].db.size(), 0u);  // flow still open at rotation
+  ASSERT_EQ(windows[1].db.size(), 1u);
+  EXPECT_EQ(windows[1].db.flows()[0].fqdn, "cached.example.com");
+  EXPECT_TRUE(windows[1].db.flows()[0].tagged_at_start);
+}
+
+TEST_F(PipelineInlineTest, IdleGapsDeliverEmptyWindows) {
+  std::vector<core::AnalysisWindow> windows;
+  pipeline::ShardedAnalyzer analyzer{
+      hourly(), [&](core::AnalysisWindow&& window) {
+        windows.push_back(std::move(window));
+      }};
+  feed_exchange(analyzer, 100, "a.example.com", 50000);
+  // 3-hour silence, then traffic again.
+  feed_exchange(analyzer, 3 * 3600 + 100, "b.example.com", 50001);
+  analyzer.finish();
+  ASSERT_EQ(windows.size(), 4u);
+  EXPECT_EQ(windows[0].db.size(), 1u);
+  EXPECT_EQ(windows[1].db.size(), 0u);
+  EXPECT_EQ(windows[2].db.size(), 0u);
+  EXPECT_EQ(windows[3].db.size(), 1u);
+}
+
+TEST_F(PipelineInlineTest, RotationMovesWindowsWithoutSinkStillCounts) {
+  // Null sink: rotation must still take (and drop) each window so the
+  // next one starts empty — and windows_merged must keep counting.
+  pipeline::ShardedAnalyzer unsinked{hourly(), nullptr};
+  feed_exchange(unsinked, 100, "a.example.com", 50000);
+  feed_exchange(unsinked, 4000, "b.example.com", 50001);
+  unsinked.finish();
+  EXPECT_EQ(unsinked.stats().windows_merged, 2u);
+
+  // With a sink: each delivered window contains exactly its own flows
+  // (take_database really cleared the previous window's state), and the
+  // merged count matches the sink invocations.
+  std::size_t delivered = 0;
+  std::vector<std::size_t> sizes;
+  pipeline::ShardedAnalyzer analyzer{
+      hourly(), [&](core::AnalysisWindow&& window) {
+        ++delivered;
+        sizes.push_back(window.db.size());
+      }};
+  feed_exchange(analyzer, 100, "a.example.com", 50000);
+  feed_exchange(analyzer, 4000, "b.example.com", 50001);
+  analyzer.finish();
+  EXPECT_EQ(analyzer.stats().windows_merged, delivered);
+  ASSERT_EQ(sizes.size(), 2u);
+  EXPECT_EQ(sizes[0], 1u);
+  EXPECT_EQ(sizes[1], 1u);  // not cumulative: the move emptied window 0
 }
 
 // ----------------------------------------------------------- backpressure
@@ -520,8 +726,10 @@ TEST(PipelineBackpressure, BlockPolicyIsLosslessAndCountsStalls) {
   bool release = false;
   std::atomic<bool> released{false};
 
+  // Two shards: one shard would run inline, with no ring to fill. The
+  // junk frames all route to shard 0.
   pipeline::PipelineConfig config;
-  config.shards = 1;
+  config.shards = 2;
   config.queue_capacity = 2;
   config.backpressure = pipeline::BackpressurePolicy::kBlock;
   config.worker_start_hook = [&](std::size_t) {
@@ -605,7 +813,8 @@ std::int64_t frame_blocks_gauge() {
 TEST_F(PipelineTest, FrameBlocksRecycleUnderALaggingShard) {
   const std::string path = write_long_capture(dir_, *frames_);
   const std::string reference = reference_tsv(path);
-  for (const std::size_t shards : {1u, 2u, 3u, 4u}) {
+  // One shard runs inline, with no pool.
+  for (const std::size_t shards : {2u, 3u, 4u}) {
     // Shard 0 stays parked until the dispatcher has retired at least two
     // blocks it still references (the pool then holds three or more);
     // its ring is deep enough that the dispatcher gets that far.

@@ -22,6 +22,7 @@
 
 #include "faultinject/faultinject.hpp"
 #include "obs/traceio.hpp"
+#include "pcap/pcapng.hpp"
 #include "pipeline/spill.hpp"
 #include "trafficgen/profiles.hpp"
 #include "trafficgen/simulator.hpp"
@@ -185,17 +186,64 @@ fs::path RecoveryTest::dir_;
 std::string RecoveryTest::pcap_;
 std::string RecoveryTest::baseline_;
 
+/// Windows of `width_s` seconds, aligned to multiples of the width, that
+/// the capture's timestamps span.
+std::uint64_t window_count(const std::string& pcap, std::int64_t width_s) {
+  std::int64_t first = -1;
+  std::int64_t last = -1;
+  std::string error;
+  EXPECT_TRUE(pcap::read_any_capture(
+      pcap,
+      [&](const pcap::Frame& frame) {
+        const std::int64_t window =
+            frame.timestamp.seconds_since_epoch() / width_s;
+        if (first < 0) first = window;
+        last = window;
+      },
+      error))
+      << error;
+  return static_cast<std::uint64_t>(last - first + 1);
+}
+
 TEST_F(RecoveryTest, SpilledWindowedRunMatchesBaseline) {
-  // No crash at all: the spilling, windowed, sharded run must already be
-  // byte-identical to the single-threaded whole-capture export.
-  const std::string spill = (dir_ / "spill_clean").string();
-  const std::string out = (dir_ / "clean.tsv").string();
+  // No crash at all: the spilling, windowed run must already be
+  // byte-identical to the whole-capture export and journal every window,
+  // and a --resume over the finished spill must serve every window from
+  // it — inline at --jobs 1 as well as sharded.
+  const std::uint64_t windows = window_count(pcap_, 300);
+  ASSERT_GE(windows, 8u);
+  for (const std::string jobs : {"1", "4"}) {
+    const std::string spill = (dir_ / ("spill_clean_j" + jobs)).string();
+    const std::string out = (dir_ / ("clean_j" + jobs + ".tsv")).string();
+    const std::string args = "export " + pcap_ + " --out " + out +
+                             " --jobs " + jobs + " --spill-dir " + spill +
+                             " --window 300";
+    const auto result = run_cli(args);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_EQ(slurp(out), slurp(baseline_)) << "--jobs " << jobs;
+    EXPECT_EQ(pipeline::scan_spill_dir(spill).complete_prefix, windows)
+        << "--jobs " << jobs;
+
+    fs::remove(out);
+    const auto resumed = run_cli(args + " --resume");
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+    EXPECT_NE(resumed.output.find("resume: " + std::to_string(windows) +
+                                  " window(s) served from spill, 0 "
+                                  "recomputed"),
+              std::string::npos)
+        << "--jobs " << jobs << ": " << resumed.output;
+    EXPECT_EQ(slurp(out), slurp(baseline_)) << "--jobs " << jobs;
+  }
+}
+
+TEST_F(RecoveryTest, WatchdogAtJobs1ExitsCleanly) {
+  // --jobs 1 runs inline: the watchdog has no stage hand-off to watch and
+  // must neither fire nor change the output.
+  const std::string out = (dir_ / "watchdog_j1.tsv").string();
   const auto result = run_cli("export " + pcap_ + " --out " + out +
-                              " --jobs 4 --spill-dir " + spill +
-                              " --window 300");
+                              " --jobs 1 --watchdog 1");
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_EQ(slurp(out), slurp(baseline_));
-  EXPECT_TRUE(fs::exists(spill + "/manifest.dnhm"));
 }
 
 TEST_F(RecoveryTest, KillNineThenResumeIsByteIdenticalJobs1) {

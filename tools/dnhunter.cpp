@@ -26,7 +26,9 @@
 // captures (skip-and-resync with a corruption report on stderr) instead
 // of the default strict abort, and --jobs N to shard ingestion over N
 // worker threads (results are bit-identical to --jobs 1; see
-// docs/pipeline.md). `policy` and `chaos` drive the sniffer directly and
+// docs/pipeline.md). Every --jobs value reads through the one windowed
+// engine, pipeline::ShardedAnalyzer, which runs --jobs 1 inline on the
+// main thread. `policy` and `chaos` drive the sniffer directly and
 // always run single-threaded.
 //
 // Flow sources (docs/flow-export.md): the capture argument may also be a
@@ -36,7 +38,7 @@
 // DNHX-framed NetFlow-v5/IPFIX datagram stream as the flow evidence; the
 // capture argument then supplies only DNS traffic, and flows are
 // record-derived instead of packet-derived (tagging and TSV output are
-// unchanged). Both route ingestion through the sharded pipeline.
+// unchanged).
 //
 // Durability and lifecycle (docs/recovery.md): --spill-dir DIR makes
 // every sealed window durable (CRC-framed spill segments + manifest
@@ -48,8 +50,7 @@
 // flush metrics, exit 0 with results covering the processed prefix.
 // --watchdog S arms a stall detector: a pipeline with pending work but no
 // stage progress for S seconds prints a typed diagnostic and exits 4
-// instead of hanging. Any of these flags routes ingestion through the
-// sharded pipeline even at --jobs 1.
+// instead of hanging (--jobs 1 has no stage hand-off to watch).
 //
 // Observability (docs/observability.md): --metrics-out FILE streams a
 // JSON-lines metrics snapshot every --metrics-interval S seconds while
@@ -262,8 +263,8 @@ std::size_t jobs_from(const Args& args) {
 }
 
 /// A finished read of one capture: what every analysis command consumes.
-/// The accessors mirror core::Sniffer's so the commands read identically
-/// whichever ingestion engine (single-threaded or sharded) produced it.
+/// The accessors keep core::Sniffer's names; the counters are the
+/// engine's PipelineStats::merged.
 struct Capture {
   core::FlowDatabase db;
   std::vector<core::DnsEvent> events;
@@ -312,17 +313,6 @@ util::Duration seconds_option(const Args& args, const char* name) {
   return util::Duration::micros(static_cast<std::int64_t>(seconds * 1e6));
 }
 
-/// Durability/lifecycle features all live in the sharded pipeline, so any
-/// of them routes ingestion through it even at --jobs 1 — as do the
-/// non-default flow sources (capture directories, flow-export streams),
-/// which are pumped through a pipeline::FlowSource.
-bool pipeline_requested(const Args& args) {
-  return jobs_from(args) > 1 || args.option("spill-dir").has_value() ||
-         args.flag("resume") || args.flag("window") || args.flag("watchdog") ||
-         args.option("flow-export").has_value() ||
-         std::filesystem::is_directory(args.pcap);
-}
-
 /// Resume accounting on stderr: how much of the run was served from the
 /// spill, and what damage the recovery path degraded over.
 void report_recovery(const pipeline::PipelineStats& stats) {
@@ -345,189 +335,180 @@ void report_recovery(const pipeline::PipelineStats& stats) {
   }
 }
 
+/// Reads the capture through pipeline::ShardedAnalyzer at every --jobs
+/// value (one shard runs inline on this thread).
 Capture sniff(const Args& args) {
-  const std::size_t jobs = jobs_from(args);
   Capture capture;
-  if (!pipeline_requested(args)) {
-    core::Sniffer sniffer{sniffer_config(args)};
-    if (!sniffer.process_pcap(args.pcap))
-      die_on_read_failure(args, sniffer.error());
-    sniffer.finish();
-    capture.stats_data = sniffer.stats();
-    capture.db = sniffer.take_database();
-    capture.events = sniffer.take_dns_log();
-  } else {
-    if (args.flag("resume") && !args.option("spill-dir"))
-      usage("--resume requires --spill-dir DIR");
-    pipeline::PipelineConfig config;
-    config.shards = jobs;
-    config.pin_shards = args.flag("pin-shards");
-    config.sniffer = sniffer_config(args);
-    // Flow-export mode: records carry the flow evidence, so the capture
-    // (when present) feeds only the DNS side of each shard's sniffer.
-    config.sniffer.dns_only = args.option("flow-export").has_value();
-    config.window = seconds_option(args, "window");
-    config.spill_dir = args.option("spill-dir").value_or("");
-    config.resume = args.flag("resume");
-    config.watchdog_timeout = seconds_option(args, "watchdog");
-    // Injected stall (DNH_FAULT_STALL=<shard>): park that worker forever,
-    // so the watchdog -> forensic-dump path can be exercised end to end
-    // against a live process. Opt-in per process, never on by default.
-    if (const auto stall = faultinject::stall_plan_from_env()) {
-      config.worker_start_hook = [plan = *stall](std::size_t shard) {
-        if (shard != plan.shard) return;
-        obs::trace_event(obs::TraceStage::kShard,
-                         obs::TraceKind::kStallInjected, obs::kNoSeq,
-                         static_cast<unsigned>(shard));
-        faultinject::enter_injected_stall();
-      };
-    }
-    // Stall forensics: the watchdog fires on a wedged pipeline, so no
-    // clean unwind is possible — dump the flight-recorder rings (binary
-    // next to the spill data, trace JSON if --trace-out asked for one),
-    // print the typed diagnostic, and leave via _Exit.
-    const std::string trace_bin_path =
-        config.spill_dir.empty() ? std::string{}
-                                 : config.spill_dir + "/flight.dnht";
-    const std::optional<std::string> trace_out = args.option("trace-out");
-    config.on_stall = [trace_bin_path,
-                       trace_out](const pipeline::StallDiagnostic& diagnostic) {
-      std::fprintf(stderr, "error: pipeline stalled\n%s\n",
-                   diagnostic.to_string().c_str());
-      const std::vector<obs::ThreadTrace> threads =
-          obs::FlightRecorder::global().snapshot();
-      if (!trace_bin_path.empty() &&
-          obs::write_binary_dump(trace_bin_path, threads))
-        std::fprintf(stderr,
-                     "trace: rings dumped to %s (render with `dnhunter "
-                     "trace-cat`)\n",
-                     trace_bin_path.c_str());
-      if (trace_out && obs::write_chrome_trace(*trace_out, threads))
-        std::fprintf(stderr, "trace: %s written\n", trace_out->c_str());
-      std::fflush(stderr);
-      std::_Exit(4);
+  if (args.flag("resume") && !args.option("spill-dir"))
+    usage("--resume requires --spill-dir DIR");
+  pipeline::PipelineConfig config;
+  config.shards = jobs_from(args);
+  config.pin_shards = args.flag("pin-shards");
+  config.sniffer = sniffer_config(args);
+  // Flow-export mode: records carry the flow evidence, so the capture
+  // (when present) feeds only the DNS side of each shard's sniffer.
+  config.sniffer.dns_only = args.option("flow-export").has_value();
+  config.window = seconds_option(args, "window");
+  config.spill_dir = args.option("spill-dir").value_or("");
+  config.resume = args.flag("resume");
+  config.watchdog_timeout = seconds_option(args, "watchdog");
+  // Injected stall (DNH_FAULT_STALL=<shard>): park that worker forever,
+  // so the watchdog -> forensic-dump path can be exercised end to end
+  // against a live process. Opt-in per process, never on by default.
+  if (const auto stall = faultinject::stall_plan_from_env()) {
+    config.worker_start_hook = [plan = *stall](std::size_t shard) {
+      if (shard != plan.shard) return;
+      obs::trace_event(obs::TraceStage::kShard,
+                       obs::TraceKind::kStallInjected, obs::kNoSeq,
+                       static_cast<unsigned>(shard));
+      faultinject::enter_injected_stall();
     };
-    pipeline::install_drain_signal_handlers();
-    config.drain_check = [] { return pipeline::drain_requested(); };
-
-    // Windows arrive in order on the merge thread; accumulate them into
-    // the one Capture the analytics commands consume. While the capture is
-    // still empty, a window is adopted whole: its DomainTable moves with
-    // its db, so every view stays valid. That covers a whole-capture run,
-    // which delivers exactly one window. Later windows (--window mode) are
-    // appended: flow fqdn views are re-interned by add(), event views
-    // remapped into the capture's table.
-    // Crash forensics ride along with durability: keep DIR/flight.dnht
-    // current from the moment the spill directory exists — a fatal-signal
-    // hook dumps the rings from the handler, and the periodic writer
-    // refreshes the file so even SIGKILL (which runs no handler) leaves a
-    // complete dump at most one interval stale. Started before the
-    // analyzer: its constructor does ~100ms of per-shard setup, and a
-    // kill landing in that window must still find a dump.
-    std::unique_ptr<obs::PeriodicTraceDump> trace_dump;
-    if (!trace_bin_path.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(config.spill_dir, ec);
-      obs::install_fatal_signal_dump(trace_bin_path);
-      trace_dump = std::make_unique<obs::PeriodicTraceDump>(
-          obs::FlightRecorder::global(), trace_bin_path,
-          util::Duration::millis(100));
-      trace_dump->start();
-    }
-    pipeline::ShardedAnalyzer analyzer{
-        config, [&capture](core::AnalysisWindow&& window) {
-          if (capture.db.size() == 0 && capture.events.empty()) {
-            capture.db = std::move(window.db);
-            capture.events = std::move(window.dns_log);
-            return;
-          }
-          // Fetched per call: adopting a window replaced the table.
-          core::DomainTable& unified = *capture.db.domain_table();
-          for (auto& flow : window.db.take_flows())
-            capture.db.add(std::move(flow));
-          for (auto& event : window.dns_log) {
-            event.fqdn_id = unified.intern(event.fqdn);
-            event.fqdn = unified.view(event.fqdn_id);
-            capture.events.push_back(std::move(event));
-          }
-        }};
-    // Pick the flow source: an export datagram stream (with the capture
-    // as its DNS side), a directory of rotated captures, or one file.
-    std::unique_ptr<pipeline::FlowSource> source;
-    pipeline::ExportStreamSource* export_source = nullptr;
-    pipeline::CaptureDirSource* dir_source = nullptr;
-    if (const auto stream = args.option("flow-export")) {
-      auto src = std::make_unique<pipeline::ExportStreamSource>(
-          *stream, args.pcap);
-      export_source = src.get();
-      source = std::move(src);
-    } else if (std::filesystem::is_directory(args.pcap)) {
-      auto src = std::make_unique<pipeline::CaptureDirSource>(args.pcap);
-      dir_source = src.get();
-      source = std::move(src);
-    } else {
-      source = std::make_unique<pipeline::PcapFileSource>(args.pcap);
-    }
-    const bool ok = source->run(analyzer);
-    analyzer.finish();  // join threads before any exit path
-    if (trace_dump) trace_dump->stop();  // final dump covers the whole run
-    if (!ok) die_on_read_failure(args, source->error());
-    if (dir_source)
-      std::fprintf(stderr, "captures: replayed %zu rotated file(s) from %s\n",
-                   dir_source->files_replayed(), args.pcap.c_str());
-    if (export_source) {
-      const auto& ds = export_source->decoder_stats();
-      std::fprintf(
-          stderr,
-          "flow-export: %llu datagram(s), %llu record(s) "
-          "(%llu v5, %llu ipfix)\n",
-          static_cast<unsigned long long>(export_source->datagrams()),
-          static_cast<unsigned long long>(ds.records()),
-          static_cast<unsigned long long>(ds.records_v5),
-          static_cast<unsigned long long>(ds.records_ipfix));
-      if (ds.parse_errors() != 0) {
-        std::string detail;
-        for (std::size_t kind = 1; kind < ds.errors.size(); ++kind) {
-          if (ds.errors[kind] == 0) continue;
-          if (!detail.empty()) detail += ", ";
-          detail += std::to_string(ds.errors[kind]);
-          detail += ' ';
-          detail += flowexport::export_parse_error_name(
-              static_cast<flowexport::ExportParseError>(kind));
-        }
-        std::fprintf(stderr,
-                     "warning: export stream degraded: %llu datagram "
-                     "parse error(s) (%s); salvaged records were kept\n",
-                     static_cast<unsigned long long>(ds.parse_errors()),
-                     detail.c_str());
-      }
-      const auto& sc = export_source->stream_corruption();
-      if (sc.total() != 0)
-        std::fprintf(stderr,
-                     "warning: export container damaged: %llu truncated "
-                     "tail(s), %llu oversize record(s), %llu byte(s) "
-                     "skipped\n",
-                     static_cast<unsigned long long>(sc.truncated_tails),
-                     static_cast<unsigned long long>(sc.oversize_records),
-                     static_cast<unsigned long long>(sc.bytes_skipped));
-    }
-    const pipeline::PipelineStats& pstats = analyzer.stats();
-    if (config.resume) report_recovery(pstats);
-    if (pstats.spill_failures != 0)
-      std::fprintf(stderr,
-                   "warning: %llu spill append(s) failed; a crash now may "
-                   "not be fully recoverable\n",
-                   static_cast<unsigned long long>(pstats.spill_failures));
-    if (pipeline::drain_requested())
-      std::fprintf(stderr,
-                   "drain: ingestion stopped by signal; results cover the "
-                   "frames processed before the drain\n");
-    capture.stats_data = pstats.merged;
   }
-  // Both paths canonicalize, so `--jobs N` output is bit-identical to
-  // `--jobs 1` for every command (the merge stage already sorted, so
-  // there this is one O(n) check, but running the same pass here keeps
-  // the invariant in one place).
+  // Stall forensics: the watchdog fires on a wedged pipeline, so no
+  // clean unwind is possible — dump the flight-recorder rings (binary
+  // next to the spill data, trace JSON if --trace-out asked for one),
+  // print the typed diagnostic, and leave via _Exit.
+  const std::string trace_bin_path =
+      config.spill_dir.empty() ? std::string{}
+                               : config.spill_dir + "/flight.dnht";
+  const std::optional<std::string> trace_out = args.option("trace-out");
+  config.on_stall = [trace_bin_path,
+                     trace_out](const pipeline::StallDiagnostic& diagnostic) {
+    std::fprintf(stderr, "error: pipeline stalled\n%s\n",
+                 diagnostic.to_string().c_str());
+    const std::vector<obs::ThreadTrace> threads =
+        obs::FlightRecorder::global().snapshot();
+    if (!trace_bin_path.empty() &&
+        obs::write_binary_dump(trace_bin_path, threads))
+      std::fprintf(stderr,
+                   "trace: rings dumped to %s (render with `dnhunter "
+                   "trace-cat`)\n",
+                   trace_bin_path.c_str());
+    if (trace_out && obs::write_chrome_trace(*trace_out, threads))
+      std::fprintf(stderr, "trace: %s written\n", trace_out->c_str());
+    std::fflush(stderr);
+    std::_Exit(4);
+  };
+  pipeline::install_drain_signal_handlers();
+  config.drain_check = [] { return pipeline::drain_requested(); };
+
+  // Windows arrive in order (on the merge thread, or on this one at
+  // --jobs 1); accumulate them into
+  // the one Capture the analytics commands consume. While the capture is
+  // still empty, a window is adopted whole: its DomainTable moves with
+  // its db, so every view stays valid. That covers a whole-capture run,
+  // which delivers exactly one window. Later windows (--window mode) are
+  // appended: flow fqdn views are re-interned by add(), event views
+  // remapped into the capture's table.
+  // Crash forensics ride along with durability: keep DIR/flight.dnht
+  // current from the moment the spill directory exists — a fatal-signal
+  // hook dumps the rings from the handler, and the periodic writer
+  // refreshes the file so even SIGKILL (which runs no handler) leaves a
+  // complete dump at most one interval stale. Started before the
+  // analyzer: its constructor does ~100ms of per-shard setup, and a
+  // kill landing in that window must still find a dump.
+  std::unique_ptr<obs::PeriodicTraceDump> trace_dump;
+  if (!trace_bin_path.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(config.spill_dir, ec);
+    obs::install_fatal_signal_dump(trace_bin_path);
+    trace_dump = std::make_unique<obs::PeriodicTraceDump>(
+        obs::FlightRecorder::global(), trace_bin_path,
+        util::Duration::millis(100));
+    trace_dump->start();
+  }
+  pipeline::ShardedAnalyzer analyzer{
+      config, [&capture](core::AnalysisWindow&& window) {
+        if (capture.db.size() == 0 && capture.events.empty()) {
+          capture.db = std::move(window.db);
+          capture.events = std::move(window.dns_log);
+          return;
+        }
+        // Fetched per call: adopting a window replaced the table.
+        core::DomainTable& unified = *capture.db.domain_table();
+        for (auto& flow : window.db.take_flows())
+          capture.db.add(std::move(flow));
+        for (auto& event : window.dns_log) {
+          event.fqdn_id = unified.intern(event.fqdn);
+          event.fqdn = unified.view(event.fqdn_id);
+          capture.events.push_back(std::move(event));
+        }
+      }};
+  // Pick the flow source: an export datagram stream (with the capture
+  // as its DNS side), a directory of rotated captures, or one file.
+  std::unique_ptr<pipeline::FlowSource> source;
+  pipeline::ExportStreamSource* export_source = nullptr;
+  pipeline::CaptureDirSource* dir_source = nullptr;
+  if (const auto stream = args.option("flow-export")) {
+    auto src = std::make_unique<pipeline::ExportStreamSource>(
+        *stream, args.pcap);
+    export_source = src.get();
+    source = std::move(src);
+  } else if (std::filesystem::is_directory(args.pcap)) {
+    auto src = std::make_unique<pipeline::CaptureDirSource>(args.pcap);
+    dir_source = src.get();
+    source = std::move(src);
+  } else {
+    source = std::make_unique<pipeline::PcapFileSource>(args.pcap);
+  }
+  const bool ok = source->run(analyzer);
+  analyzer.finish();  // join threads before any exit path
+  if (trace_dump) trace_dump->stop();  // final dump covers the whole run
+  if (!ok) die_on_read_failure(args, source->error());
+  if (dir_source)
+    std::fprintf(stderr, "captures: replayed %zu rotated file(s) from %s\n",
+                 dir_source->files_replayed(), args.pcap.c_str());
+  if (export_source) {
+    const auto& ds = export_source->decoder_stats();
+    std::fprintf(
+        stderr,
+        "flow-export: %llu datagram(s), %llu record(s) "
+        "(%llu v5, %llu ipfix)\n",
+        static_cast<unsigned long long>(export_source->datagrams()),
+        static_cast<unsigned long long>(ds.records()),
+        static_cast<unsigned long long>(ds.records_v5),
+        static_cast<unsigned long long>(ds.records_ipfix));
+    if (ds.parse_errors() != 0) {
+      std::string detail;
+      for (std::size_t kind = 1; kind < ds.errors.size(); ++kind) {
+        if (ds.errors[kind] == 0) continue;
+        if (!detail.empty()) detail += ", ";
+        detail += std::to_string(ds.errors[kind]);
+        detail += ' ';
+        detail += flowexport::export_parse_error_name(
+            static_cast<flowexport::ExportParseError>(kind));
+      }
+      std::fprintf(stderr,
+                   "warning: export stream degraded: %llu datagram "
+                   "parse error(s) (%s); salvaged records were kept\n",
+                   static_cast<unsigned long long>(ds.parse_errors()),
+                   detail.c_str());
+    }
+    const auto& sc = export_source->stream_corruption();
+    if (sc.total() != 0)
+      std::fprintf(stderr,
+                   "warning: export container damaged: %llu truncated "
+                   "tail(s), %llu oversize record(s), %llu byte(s) "
+                   "skipped\n",
+                   static_cast<unsigned long long>(sc.truncated_tails),
+                   static_cast<unsigned long long>(sc.oversize_records),
+                   static_cast<unsigned long long>(sc.bytes_skipped));
+  }
+  const pipeline::PipelineStats& pstats = analyzer.stats();
+  if (config.resume) report_recovery(pstats);
+  if (pstats.spill_failures != 0)
+    std::fprintf(stderr,
+                 "warning: %llu spill append(s) failed; a crash now may "
+                 "not be fully recoverable\n",
+                 static_cast<unsigned long long>(pstats.spill_failures));
+  if (pipeline::drain_requested())
+    std::fprintf(stderr,
+                 "drain: ingestion stopped by signal; results cover the "
+                 "frames processed before the drain\n");
+  capture.stats_data = pstats.merged;
+  // Windows arrive sorted, so for a whole-capture run this is one O(n)
+  // check; --window runs append windows, and the pass keeps the
+  // invariant in one place.
   pipeline::canonicalize(capture.db);
   pipeline::canonicalize(capture.events);
   warn_on_corruption(capture.degradation());
