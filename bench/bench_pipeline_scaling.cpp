@@ -9,17 +9,14 @@
 // (a 1-core container cannot speed anything up by threading, and a bench
 // that fails for physics reasons would just get deleted from CI).
 //
-// A second phase isolates the FQDN-interning rework (docs/performance.md):
-// the DNS responses of the corpus are replayed through a single sniffer
-// with the zero-allocation scanner (default) and again with the legacy
-// full-decode path (`legacy_dns_decode`), reporting frames/s and peak RSS
-// for both into BENCH_intern.json. The interned run goes first: ru_maxrss
-// is monotonic, so phase order would otherwise hide its smaller footprint.
+// A second phase times the two DNS decoders (docs/performance.md) over the
+// UDP payloads of the corpus's DNS responses: the full
+// `dns::DnsMessage::decode` and the zero-allocation `dns::scan_response`
+// the sniffer runs, reporting ns/call for both into BENCH_intern.json
+// (--intern-frames sets the calls per decoder).
 //
 // Usage: bench_pipeline_scaling [--frames N] [--out FILE.json]
 //                               [--intern-frames N] [--intern-out FILE.json]
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +26,8 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "dns/message.hpp"
+#include "dns/wire_scan.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "packet/decode.hpp"
@@ -269,64 +268,54 @@ void write_obs_json(const std::string& path, std::size_t frames,
                path.c_str());
 }
 
-// ---- FQDN-interning A/B phase ----------------------------------------------
+// ---- DNS decode A/B phase ---------------------------------------------------
 
-struct InternRun {
+struct DecodeRun {
   const char* mode = "";
   double seconds = 0;
-  double fps = 0;
-  long peak_rss_kb = 0;
-  std::uint64_t dns_responses = 0;
-  std::size_t interned_names = 0;
-  std::size_t arena_bytes = 0;
+  double ns_per_call = 0;
+  std::uint64_t accepted = 0;
 };
 
-/// The corpus frames that are DNS responses (UDP with source port 53):
-/// the resolver-heavy slice where decode cost dominates.
-std::vector<pcap::Frame> dns_slice(const std::vector<pcap::Frame>& corpus) {
-  std::vector<pcap::Frame> out;
+/// UDP payloads of the corpus frames that are DNS responses (source port
+/// 53), viewing into `corpus`: the slice where decode cost dominates.
+std::vector<net::BytesView> dns_payloads(
+    const std::vector<pcap::Frame>& corpus) {
+  std::vector<net::BytesView> out;
   for (const auto& frame : corpus) {
     packet::DecodeFailure why;
     const auto decoded =
         packet::decode_frame(frame.data, frame.timestamp, why);
     if (decoded && decoded->is_udp() && decoded->src_port() == 53)
-      out.push_back(frame);
+      out.push_back(decoded->payload);
   }
   return out;
 }
 
-InternRun run_intern_phase(const std::vector<pcap::Frame>& dns_corpus,
-                           std::size_t target_frames, bool legacy) {
-  core::SnifferConfig config;
-  config.legacy_dns_decode = legacy;
-  config.record_dns_log = false;  // isolate decode+resolver-insert cost
-  core::Sniffer sniffer{config};
-  std::size_t processed = 0;
+/// Runs `decode` over the payloads, round after round, until at least
+/// `target_calls` calls ran.
+template <typename Decode>
+DecodeRun time_decoder(const char* mode,
+                       const std::vector<net::BytesView>& payloads,
+                       std::size_t target_calls, Decode decode) {
+  DecodeRun run;
+  run.mode = mode;
+  std::size_t calls = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  while (processed < target_frames) {
-    for (const auto& frame : dns_corpus)
-      sniffer.on_frame(frame.data, frame.timestamp);
-    processed += dns_corpus.size();
+  while (calls < target_calls && !payloads.empty()) {
+    for (const auto& payload : payloads)
+      if (decode(payload)) ++run.accepted;
+    calls += payloads.size();
   }
-  sniffer.finish();
   const auto t1 = std::chrono::steady_clock::now();
-
-  InternRun run;
-  run.mode = legacy ? "legacy_decode" : "interned_scan";
   run.seconds = std::chrono::duration<double>(t1 - t0).count();
-  run.fps = static_cast<double>(processed) / run.seconds;
-  run.dns_responses = sniffer.stats().dns_responses;
-  run.interned_names = sniffer.domain_table()->size();
-  run.arena_bytes = sniffer.domain_table()->arena_bytes();
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  run.peak_rss_kb = usage.ru_maxrss;
+  run.ns_per_call = calls == 0 ? 0 : run.seconds * 1e9 / calls;
   return run;
 }
 
-void write_intern_json(const std::string& path, std::size_t dns_frames,
-                       unsigned hw_threads, const std::vector<InternRun>& runs,
-                       double speedup) {
+void write_decode_json(const std::string& path, std::size_t payloads,
+                       unsigned hw_threads,
+                       const std::vector<DecodeRun>& runs, double speedup) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -334,21 +323,19 @@ void write_intern_json(const std::string& path, std::size_t dns_frames,
   }
   std::fprintf(out,
                "{\n"
-               "  \"bench\": \"fqdn_interning\",\n"
-               "  \"dns_frames\": %zu,\n"
+               "  \"bench\": \"dns_decode\",\n"
+               "  \"dns_payloads\": %zu,\n"
                "  \"hw_threads\": %u,\n"
-               "  \"interned_over_legacy_fps\": %.3f,\n"
+               "  \"scan_over_decode\": %.3f,\n"
                "  \"runs\": [\n",
-               dns_frames, hw_threads, speedup);
+               payloads, hw_threads, speedup);
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const InternRun& r = runs[i];
+    const DecodeRun& r = runs[i];
     std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"seconds\": %.4f, \"fps\": %.0f, "
-                 "\"peak_rss_kb\": %ld, \"dns_responses\": %llu, "
-                 "\"interned_names\": %zu, \"arena_bytes\": %zu}%s\n",
-                 r.mode, r.seconds, r.fps, r.peak_rss_kb,
-                 static_cast<unsigned long long>(r.dns_responses),
-                 r.interned_names, r.arena_bytes,
+                 "    {\"mode\": \"%s\", \"seconds\": %.4f, "
+                 "\"ns_per_call\": %.1f, \"accepted\": %llu}%s\n",
+                 r.mode, r.seconds, r.ns_per_call,
+                 static_cast<unsigned long long>(r.accepted),
                  i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -579,32 +566,36 @@ int main(int argc, char** argv) {
   write_obs_json(obs_out, corpus.size(), hardware, trace_jobs, overhead_pct,
                  obs_gate, !obs_gate || overhead_passed, trace_runs);
 
-  const auto dns = dns_slice(corpus);
-  std::printf("\nFQDN interning A/B over %s DNS-response frames "
-              "(replayed to %s):\n",
-              util::with_commas(dns.size()).c_str(),
+  const auto payloads = dns_payloads(corpus);
+  std::printf("\nDNS decode A/B over %s DNS-response payloads "
+              "(%s calls per decoder):\n",
+              util::with_commas(payloads.size()).c_str(),
               util::with_commas(intern_frames).c_str());
-  std::vector<InternRun> intern_runs;
-  intern_runs.push_back(run_intern_phase(dns, intern_frames, false));
-  intern_runs.push_back(run_intern_phase(dns, intern_frames, true));
-  const double intern_speedup = intern_runs[0].fps / intern_runs[1].fps;
-  util::TextTable intern_table{{"mode", "seconds", "frames/s", "peak RSS KiB",
-                                "names", "arena bytes"}};
-  for (const auto& run : intern_runs) {
+  dns::ResponseScratch scratch;
+  dns::MessageParseError error = dns::MessageParseError::kNone;
+  std::vector<DecodeRun> decode_runs;
+  decode_runs.push_back(time_decoder(
+      "wire_scan", payloads, intern_frames, [&](net::BytesView wire) {
+        return dns::scan_response(wire, scratch, error);
+      }));
+  decode_runs.push_back(time_decoder(
+      "full_decode", payloads, intern_frames, [&](net::BytesView wire) {
+        return dns::DnsMessage::decode(wire, error).has_value();
+      }));
+  const double scan_speedup =
+      decode_runs[1].ns_per_call / decode_runs[0].ns_per_call;
+  util::TextTable decode_table{{"decoder", "seconds", "ns/call", "accepted"}};
+  for (const auto& run : decode_runs) {
     std::snprintf(buffer, sizeof buffer, "%.2f", run.seconds);
     std::string seconds{buffer};
-    intern_table.add_row(
-        {run.mode, seconds,
-         util::with_commas(static_cast<std::uint64_t>(run.fps)),
-         util::with_commas(static_cast<std::uint64_t>(run.peak_rss_kb)),
-         util::with_commas(run.interned_names),
-         util::with_commas(run.arena_bytes)});
+    std::snprintf(buffer, sizeof buffer, "%.1f", run.ns_per_call);
+    decode_table.add_row(
+        {run.mode, seconds, buffer, util::with_commas(run.accepted)});
   }
-  std::printf("%s", intern_table.render().c_str());
-  std::printf("interned scan vs legacy decode: %.2fx frames/s\n",
-              intern_speedup);
-  reporter.report("intern_speedup", intern_speedup);
-  write_intern_json(intern_out, dns.size(), hardware, intern_runs,
-                    intern_speedup);
+  std::printf("%s", decode_table.render().c_str());
+  std::printf("wire scan vs full decode: %.2fx calls/s\n", scan_speedup);
+  reporter.report("scan_over_decode", scan_speedup);
+  write_decode_json(intern_out, payloads.size(), hardware, decode_runs,
+                    scan_speedup);
   return ok ? 0 : 1;
 }

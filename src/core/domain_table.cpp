@@ -22,7 +22,6 @@ DomainTable::DomainTable() {
 
 // dnh-analyze: hot
 DomainId DomainTable::intern(std::string_view s) {
-  // dnh-lint: hot
   if (s.empty()) return kEmptyDomainId;
   std::size_t i = hash_bytes(s) & mask_;
   while (true) {

@@ -14,7 +14,6 @@ std::string_view TaggedFlow::second_level() const {
 
 // dnh-analyze: hot
 FlowDatabase::FlowIndex FlowDatabase::add(TaggedFlow flow) {
-  // dnh-lint: hot
   const FlowIndex index = static_cast<FlowIndex>(flows_.size());
   // Re-intern: after this, the flow's label lives in OUR arena regardless
   // of where the caller staged it (sniffer scratch, TSV line, another

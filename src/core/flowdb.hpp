@@ -175,15 +175,15 @@ class FlowDatabase {
   // Query-side state, built by ensure_indexed() and dropped by
   // take_flows(); mutable because the const queries build it.
   mutable bool indexed_ = false;
-  // dnh-lint: bounded(take_database) the database grows with its window
+  // dnh-analyze: bounded(take_database) the database grows with its window
   // and is moved out whole on rotation; indexes die with the flows.
   mutable std::unordered_map<DomainId, std::vector<FlowIndex>> fqdn_index_;
-  // dnh-lint: bounded(take_database)
+  // dnh-analyze: bounded(take_database)
   mutable std::unordered_map<DomainId, std::vector<FlowIndex>> sld_index_;
-  // dnh-lint: bounded(take_database)
+  // dnh-analyze: bounded(take_database)
   mutable std::unordered_map<net::Ipv4Address, std::vector<FlowIndex>>
       server_index_;
-  // dnh-lint: bounded(take_database)
+  // dnh-analyze: bounded(take_database)
   mutable std::map<std::uint16_t, std::vector<FlowIndex>> port_index_;
   static const std::vector<FlowIndex> kEmpty;
 };

@@ -112,7 +112,6 @@ class NestedPairIndex {
   using Map = typename MapPolicy::template Map<K, W>;
   // Bounded by Clist recycling: every key is a back-reference of a live
   // Clist entry and delete_back_references removes it on eviction.
-  // dnh-lint: bounded(delete_back_references)
   Map<net::Ipv4Address, Map<net::Ipv4Address, V>> client_map_;
 };
 
@@ -162,10 +161,10 @@ class FlatPairIndex {
 
   // Bounded by Clist recycling, same as the nested shape: eviction calls
   // delete_back_references -> erase_key for every key the slot created.
-  // dnh-lint: bounded(delete_back_references)
+  // dnh-analyze: bounded(delete_back_references)
   util::FlatHash<std::uint64_t, V> table_;
   /// client -> number of live (client, *) keys; emptied with table_.
-  // dnh-lint: bounded(delete_back_references)
+  // dnh-analyze: bounded(delete_back_references)
   util::FlatHash<std::uint32_t, std::uint32_t> client_refs_;
 };
 
@@ -226,7 +225,6 @@ class BasicDnsResolver {
   void insert(net::Ipv4Address client, DomainId fqdn,
               std::span<const net::Ipv4Address> servers,
               util::Timestamp now) {
-    // dnh-lint: hot
     ++stats_.inserts;
 
     // First lap: the cursor is at the end of the created slots, so create
@@ -292,7 +290,6 @@ class BasicDnsResolver {
   // dnh-analyze: hot
   std::optional<ResolverHit> lookup(net::Ipv4Address client,
                                     net::Ipv4Address server) const {
-    // dnh-lint: hot
     ++stats_.lookups;
     const RefChain* chain = find_chain(client, server);
     if (chain) {

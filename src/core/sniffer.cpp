@@ -1,7 +1,6 @@
 #include "core/sniffer.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "baseline/cert_inspection.hpp"
 #include "baseline/dpi.hpp"
@@ -207,7 +206,6 @@ void Sniffer::on_frame(net::BytesView frame, util::Timestamp ts) {
 // dnh-analyze: hot
 void Sniffer::on_export_record(const flowexport::OrientedRecord& record,
                                util::Timestamp arrival) {
-  // dnh-lint: hot
   ++stats_.export_records;
   metrics().export_records_ingested.inc();
 
@@ -308,42 +306,10 @@ void Sniffer::flush_record_flows() {
 void Sniffer::handle_dns_message(net::BytesView wire,
                                  net::Ipv4Address client,
                                  util::Timestamp ts) {
-  // dnh-lint: hot
   SnifferMetrics& m = metrics();
   dns::MessageParseError parse_error = dns::MessageParseError::kNone;
   obs::SpanTimer parse_span{m.dns_parse_ns, dns_gate_};
-  bool parsed;
-  if (config_.legacy_dns_decode) {
-    // A/B reference path: full decode, then project the three facts the
-    // sniffer needs into the same scratch the scanner fills, so the tail
-    // below is shared and the two paths cannot drift in behaviour.
-    // dnh-analyze: allow(alloc, legacy_dns_decode is the off-by-default
-    // A/B reference path; only the scanner branch carries the
-    // zero-allocation contract)
-    const auto msg = dns::DnsMessage::decode(wire, parse_error);
-    parsed = msg.has_value();
-    if (msg) {
-      dns_scratch_.is_response = msg->is_response;
-      // dnh-lint: allow(hot-path-noalloc) -- the legacy decode branch is
-      // the off-by-default reference path; only the scanner branch below
-      // carries the zero-allocation contract.
-      // dnh-analyze: allow(alloc, same off-by-default reference branch as
-      // above)
-      const std::string name = msg->canonical_query_name().to_string();
-      if (name == ".") {
-        dns_scratch_.name_len = 0;  // root/no-question sentinel
-      } else {
-        dns_scratch_.name_len =
-            std::min(name.size(), dns_scratch_.name.size());
-        std::memcpy(dns_scratch_.name.data(), name.data(),
-                    dns_scratch_.name_len);
-      }
-      const auto servers = msg->answer_addresses();
-      dns_scratch_.addresses.assign(servers.begin(), servers.end());
-    }
-  } else {
-    parsed = dns::scan_response(wire, dns_scratch_, parse_error);
-  }
+  const bool parsed = dns::scan_response(wire, dns_scratch_, parse_error);
   parse_span.stop();
   if (!parsed) {
     ++stats_.dns_parse_failures;

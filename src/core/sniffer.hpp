@@ -61,11 +61,6 @@ struct SnifferConfig {
   /// Read damaged pcap files in skip-and-resync mode instead of aborting
   /// at the first corrupt record (see pcap::Reader::Mode).
   bool resync_capture = false;
-  /// Decode DNS responses with the full DnsMessage codec instead of the
-  /// zero-allocation wire scanner. The two accept/reject and classify
-  /// identically (tested differentially); this switch exists for A/B
-  /// benchmarking and as a fallback while the scanner soaks.
-  bool legacy_dns_decode = false;
   /// Shard label on this sniffer's per-instance gauges
   /// (`dnh_resolver_cache_size{shard=N}`, ...). The sharded pipeline sets
   /// its worker index; the single-threaded path keeps 0. Counters are
@@ -242,18 +237,18 @@ class Sniffer {
   // path"): probed per flow start / per TCP-DNS segment / per export
   // record. Flush paths sort keys before export, so iteration order never
   // reaches the output.
-  // dnh-lint: bounded(on_flow_export) one entry per live tagged flow,
-  // erased when the flow exports; the flow table's idle sweep bounds
-  // live flows.
+  // One entry per live tagged flow, erased when the flow exports; the
+  // flow table's idle sweep bounds live flows.
+  // dnh-analyze: bounded(on_flow_export)
   util::FlatHash<flow::FlowKey, PendingTag> pending_tags_;
   /// Per-connection reassembly of length-prefixed DNS-over-TCP responses,
   /// keyed by (clientIP, client port).
-  // dnh-lint: bounded(max_tcp_dns_buffers) oldest-arbitrary eviction at
+  // dnh-analyze: bounded(max_tcp_dns_buffers) oldest-arbitrary eviction at
   // the cap, counted in tcp_dns_buffer_evictions.
   util::FlatHash<std::uint64_t, net::Bytes> tcp_dns_buffers_;
   /// Record-derived flows mid-merge (flow-export ingest): the two
   /// directional export records of one flow accumulate here until flushed.
-  // dnh-lint: bounded(sweep_record_flows) idle entries flushed on the
+  // dnh-analyze: bounded(sweep_record_flows) idle entries flushed on the
   // table's sweep cadence; finish() drains the rest.
   util::FlatHash<flow::FlowKey, flow::FlowRecord> record_flows_;
   FlowStartHook flow_start_hook_;

@@ -33,7 +33,6 @@ MessageParseError project(NameParseError e) {
 // dnh-analyze: hot
 bool scan_name(net::ByteReader& r, NameParseError& error, char* out,
                std::size_t* out_len) {
-  // dnh-lint: hot
   error = NameParseError::kNone;
   std::size_t total = 0;
   std::size_t written = 0;
@@ -106,7 +105,6 @@ bool scan_name(net::ByteReader& r, NameParseError& error, char* out,
 bool scan_rdata(RecordType type, net::ByteReader& r, std::size_t rdlength,
                 std::vector<net::Ipv4Address>* collect,
                 MessageParseError& error) {
-  // dnh-lint: hot
   const std::size_t end = r.position() + rdlength;
   if (end > r.buffer().size()) {
     error = MessageParseError::kTruncated;
@@ -193,7 +191,6 @@ bool scan_rdata(RecordType type, net::ByteReader& r, std::size_t rdlength,
 // dnh-analyze: hot
 bool scan_rr(net::ByteReader& r, std::vector<net::Ipv4Address>* collect,
              MessageParseError& error) {
-  // dnh-lint: hot
   NameParseError ne = NameParseError::kNone;
   if (!scan_name(r, ne, nullptr, nullptr)) {
     error = project(ne);
@@ -215,7 +212,6 @@ bool scan_rr(net::ByteReader& r, std::vector<net::Ipv4Address>* collect,
 // dnh-analyze: hot
 bool scan_response(net::BytesView wire, ResponseScratch& out,
                    MessageParseError& error) {
-  // dnh-lint: hot
   error = MessageParseError::kNone;
   out.is_response = false;
   out.name_len = 0;

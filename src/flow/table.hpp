@@ -68,7 +68,7 @@ class FlowTable {
     std::uint32_t next_seq = 0;
     bool synced = false;    ///< next_seq is initialized
     bool gave_up = false;   ///< capture gap (snaplen truncation): stop
-    // dnh-lint: bounded(kMaxPending) at most 8 parked segments per
+    // dnh-analyze: bounded(kMaxPending) at most 8 parked segments per
     // direction; past that the head gives up (table.cpp).
     std::map<std::uint32_t, net::Bytes> pending;
   };
@@ -84,10 +84,10 @@ class FlowTable {
   // so the lookup structure is the per-packet cost center. Export order
   // stays deterministic because flush()/sweep_idle() sort keys before
   // exporting — iteration order never reaches the output.
-  // dnh-lint: bounded(sweep_idle) idle flows exported and erased on the
+  // dnh-analyze: bounded(sweep_idle) idle flows exported and erased on the
   // sweep cadence; reasm_ entries die with their flow.
   util::FlatHash<FlowKey, FlowRecord> flows_;
-  // dnh-lint: bounded(sweep_idle)
+  // dnh-analyze: bounded(sweep_idle)
   util::FlatHash<FlowKey, ReasmState> reasm_;
   Exporter exporter_;
   FlowStartObserver on_flow_start_;

@@ -87,7 +87,7 @@ class RecordOrienter {
   void sweep(util::Timestamp now);
 
   OrienterConfig config_;
-  // dnh-lint: bounded(sweep_interval_records)
+  // dnh-analyze: bounded(sweep_interval_records)
   std::unordered_map<PairKey, PairState, PairKeyHash> pairs_;
   std::uint64_t records_ = 0;
 };

@@ -165,9 +165,9 @@ class ExportDecoder {
   // Keyed by (observation domain << 16) | template id. Capacity-capped
   // with FIFO eviction via insertion_order_ (the bound the chaos tests
   // and lint fixtures exercise).
-  // dnh-lint: bounded(template_cache_capacity)
+  // dnh-analyze: bounded(template_cache_capacity)
   std::unordered_map<std::uint64_t, Template> templates_;
-  // dnh-lint: bounded(template_cache_capacity)
+  // dnh-analyze: bounded(template_cache_capacity)
   std::deque<std::uint64_t> insertion_order_;
   obs::Gauge template_cache_gauge_;
 };

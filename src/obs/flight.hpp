@@ -50,7 +50,7 @@ inline constexpr std::size_t kTraceStageCount = 8;
 std::string_view trace_stage_name(TraceStage stage) noexcept;
 
 /// Event kinds. Every kind recorded anywhere in the tree must appear in
-/// the docs/observability.md trace-event catalog — dnh-lint's
+/// the docs/observability.md trace-event catalog — dnh-analyze's
 /// trace-catalog rule enforces the pairing, exactly like metric names.
 enum class TraceKind : std::uint8_t {
   kThreadStart = 0,    ///< a recorded thread entered its loop

@@ -276,8 +276,8 @@ struct ShardedAnalyzer::MergeInbox {
   std::size_t capacity = 0;
   std::size_t peak DNH_GUARDED_BY(mutex) = 0;
   /// One entry per (shard, window) message, drained by the merge thread.
-  // dnh-lint: allow(hot-path-bound) per-window (not per-packet), and
-  // explicitly capped at `capacity` entries by the cv_space wait.
+  // dnh-analyze: allow(hot-path-bound, per-window rather than per-packet,
+  // and explicitly capped at `capacity` entries by the cv_space wait)
   std::deque<ShardWindow> queue DNH_GUARDED_BY(mutex);
 };
 
@@ -448,12 +448,12 @@ class ShardedAnalyzer::FramePool final : public pcap::BlockSource {
 
   ShardedAnalyzer& owner_;
   std::vector<std::unique_ptr<Block>> owned_;
-  // dnh-lint: bounded(reclaim) holds only blocks no ring references; the
-  // pool grows only when it is empty.
+  // Bounded by reclaim(): holds only blocks no ring references; the pool
+  // grows only when it is empty.
   std::vector<Block*> free_;
-  // dnh-lint: bounded(reclaim) a retired block returns to free_ once
-  // every ring has consumed past it, and rings hold at most their
-  // capacity in items.
+  // Bounded by reclaim(): a retired block returns to free_ once every
+  // ring has consumed past it, and rings hold at most their capacity in
+  // items.
   std::vector<Block*> retired_;
   Block* reader_ = nullptr;  ///< block the pcap reader is filling
   Block* bump_ = nullptr;    ///< block on_frame/on_export_record copy into
@@ -817,7 +817,7 @@ void ShardedAnalyzer::flush_stage(std::size_t shard) {
 
   std::size_t offset = 0;
   const auto produce = [&] {
-    // dnh-lint: ring-producer (dispatcher thread owns every produce side)
+    // dnh-analyze: ring-producer (dispatcher thread owns every produce side)
     return worker.queue->try_produce_n(
         stage.count - offset, [&](Item& slot, std::size_t i) {
           slot = stage.items[offset + i];
@@ -875,7 +875,7 @@ void ShardedAnalyzer::push_control(std::size_t shard, const Item& item) {
   // dropping a rotation would desynchronize the merge sequence.
   Worker& worker = *workers_[shard];
   unsigned spins = 0;
-  // dnh-lint: ring-producer (control items ride the dispatcher thread too)
+  // dnh-analyze: ring-producer (control items ride the dispatcher thread too)
   while (!worker.queue->try_produce([&](Item& slot) { slot = item; }))
     backoff(spins);
 }
@@ -966,7 +966,7 @@ void ShardedAnalyzer::worker_loop(std::size_t index) {
     // Batch drain: one acquire/release pair covers up to kConsumeBatch
     // items. Safe even around control items — kStop is the last item its
     // ring will ever carry, so nothing can follow it within a batch.
-    // dnh-lint: ring-consumer (this worker thread owns the consume side)
+    // dnh-analyze: ring-consumer (this worker thread owns the consume side)
     const std::size_t got = queue.try_consume_n(
         kConsumeBatch,
         [&](Item& item, std::size_t) { running = consume(index, item); });

@@ -308,7 +308,7 @@ class ShardedAnalyzer {
   class FramePool;
 
   // Thread-ownership map (checked by the -Wthread-safety build plus the
-  // dnh-lint ring-role tags at the SPSC push/pop sites; see
+  // dnh-analyze ring-role tags at the SPSC push/pop sites; see
   // docs/static-analysis.md):
   //  - dispatcher thread (the caller of on_frame/process_pcap/finish):
   //    route_frame/dispatch_frame/push_control/broadcast_rotation, all
@@ -384,7 +384,7 @@ class ShardedAnalyzer {
     std::size_t shard = 0;
     util::Timestamp last;
   };
-  // dnh-lint: bounded(sweep_interval_packets) idle entries expire against
+  // dnh-analyze: bounded(sweep_interval_packets) idle entries expire against
   // the arriving packet and are swept on the flow table's cadence.
   util::FlatHash<flow::FlowKey, Route> routes_;
   /// Blocks every frame (and flow-export record) in flight lives in; ring
@@ -420,8 +420,8 @@ class ShardedAnalyzer {
   std::thread merge_thread_;
 
   // Merge-thread-owned until finish() joins.
-  // dnh-lint: allow(hot-path-bound) holds at most one in-flight window
-  // set per shard; erased as soon as every shard reports the sequence.
+  // dnh-analyze: allow(hot-path-bound, holds at most one in-flight
+  // window set per shard; erased once every shard reports the sequence)
   std::map<std::uint64_t, std::vector<ShardWindow>> pending_;
   std::uint64_t next_seq_ = 0;  ///< next window to retire
   std::uint64_t windows_merged_ = 0;

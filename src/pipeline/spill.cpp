@@ -37,13 +37,13 @@ std::string join_path(const std::string& dir, std::string_view name) {
 }
 
 // Durability helpers. All writes in this file go through full_write and
-// are followed by fsync before anything references them; the dnh-lint
+// are followed by fsync before anything references them; dnh-analyze's
 // spill-durability rule enforces that pairing.
 bool full_write(int fd, const void* data, std::size_t size) {
   const char* p = static_cast<const char*>(data);
   while (size > 0) {
-    // dnh-lint: allow(spill-durability) this loop IS the durability
-    // helper; every caller carries the ordering tag and the fsync.
+    // dnh-analyze: allow(spill-durability, this loop IS the durability
+    // helper; every caller carries the ordering tag and the fsync)
     const ssize_t n = ::write(fd, p, size);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -148,7 +148,7 @@ std::optional<SpillExtent> SpillWriter::append(
   put_u32le(frame, util::crc32_ieee(payload));
   frame += payload;
 
-  // dnh-lint: spill-write(fsync) the record must be on disk before the
+  // dnh-analyze: spill-write(fsync) the record must be on disk before the
   // manifest line that references it is appended.
   if (!full_write(fd_, frame.data(), frame.size())) return std::nullopt;
   if (::fsync(fd_) != 0) return std::nullopt;
@@ -188,7 +188,7 @@ ManifestJournal::~ManifestJournal() {
 
 bool ManifestJournal::append_line(const std::string& body) {
   const std::string line = body + "\t" + crc_hex(body) + "\n";
-  // dnh-lint: manifest-append(fsync) journal lines become visible to
+  // dnh-analyze: manifest-append(fsync) journal lines become visible to
   // recovery only after they are durable.
   if (!full_write(fd_, line.data(), line.size())) return false;
   return ::fsync(fd_) == 0;
@@ -211,8 +211,8 @@ namespace {
 /// surviving (highest seal_seq) entry per (seq, shard).
 struct Generation {
   std::uint32_t shards = 0;
-  // dnh-lint: allow(hot-path-bound) recovery-time scan state, one entry
-  // per manifest seal line; never touched on the per-packet path.
+  // dnh-analyze: allow(hot-path-bound, recovery-time scan state, one
+  // entry per manifest seal line; never touched on the per-packet path)
   std::map<std::uint64_t, std::map<std::uint32_t, ManifestEntry>> seals;
 };
 

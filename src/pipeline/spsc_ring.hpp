@@ -24,13 +24,12 @@
 // Capacity is rounded up to a power of two. Strictly SPSC: one thread may
 // call produce-side functions (try_push/try_produce and their _n batch
 // forms), one thread consume-side functions (try_pop/try_consume and
-// their _n batch forms). This confinement cannot
-// be expressed to the generic thread-safety analysis (the ring is
-// lock-free by design), so dnh-lint's `ring-role` rule enforces it
-// instead: every push/pop call site must carry a
-// `// dnh-lint: ring-producer` or `// dnh-lint: ring-consumer` tag
-// declaring which side of the contract its thread is on (see
-// docs/static-analysis.md).
+// their _n batch forms). This confinement cannot be expressed to the
+// generic thread-safety analysis (the ring is lock-free by design), so
+// dnh-analyze's `ring-role` rule enforces it instead: every push/pop call
+// site must carry a `// dnh-analyze: ring-producer` or
+// `// dnh-analyze: ring-consumer` tag declaring which side of the
+// contract its thread is on (see docs/static-analysis.md).
 #pragma once
 
 #include <atomic>

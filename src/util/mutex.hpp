@@ -2,7 +2,7 @@
 // attributes on libstdc++, so Clang's analysis cannot see its lock/unlock.
 // util::Mutex is a zero-overhead wrapper that does, plus the RAII guard
 // and condition variable to use with it. All project code that guards
-// state with a mutex should use these (dnh-lint and the -Wthread-safety
+// state with a mutex should use these (dnh-analyze and the -Wthread-safety
 // build both assume it); see docs/static-analysis.md.
 #pragma once
 

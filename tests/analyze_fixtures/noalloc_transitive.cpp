@@ -1,6 +1,6 @@
 // dnh-analyze-fixture: path=fix/noalloc_transitive.cpp expect=no-alloc@7,no-alloc@8
-// Allocation two hops away from the hot root: the body-local dnh-lint
-// `hot` rule cannot see this, the reachability rule must.
+// Allocation two hops away from the hot root: a check confined to the
+// tagged body cannot see this, the reachability rule must.
 #include <string>
 
 std::string label_for(int code) {

@@ -1,11 +1,10 @@
-// dnh-analyze: call-graph-aware interprocedural invariant checker.
+// dnh-analyze: the project's static checker. It tokenizes every
+// translation unit named in compile_commands.json plus all headers under
+// src/, recovers a function-level call graph (heuristic qualified-name
+// resolution; unresolved edges are reported, never silently dropped),
+// and runs two families of rules.
 //
-// dnh-lint (tools/dnh-lint) checks single call sites with line/regex
-// rules; this tool checks invariants that span function boundaries. It
-// tokenizes every translation unit named in compile_commands.json plus
-// all headers under src/, recovers a function-level call graph (heuristic
-// qualified-name resolution; unresolved edges are reported, never
-// silently dropped), and runs four interprocedural rules:
+// Four interprocedural rules walk the call graph:
 //
 //   signal-safety  From roots tagged `// dnh-analyze: signal-safe`
 //                  (the fatal trace dump in src/obs/traceio.cpp and
@@ -13,9 +12,8 @@
 //                  allocator, std::string construction, stdio, locking,
 //                  or any other non-async-signal-safe function. Findings
 //                  print the full offending call chain.
-//   no-alloc       Lifts dnh-lint's body-local `hot` rule to
-//                  reachability: a function tagged `// dnh-analyze: hot`
-//                  may not *reach* allocation (new, malloc, make_unique,
+//   no-alloc       A function tagged `// dnh-analyze: hot` may not
+//                  *reach* allocation (new, malloc, make_unique,
 //                  std::string construction, to_string, ...). Sanctioned
 //                  escape hatches carry `// dnh-analyze: allow(alloc,
 //                  <why>)`.
@@ -30,9 +28,25 @@
 //                  (including a self-cycle: re-acquiring a held mutex)
 //                  fails the run.
 //
+// Six site rules judge single sites, in src/ and tools/ only (or every
+// --files input):
+//
+//   metric-name       registered metric names start with dnh_ and are
+//                     documented in <root>/docs/observability.md
+//   trace-catalog     recorded TraceKind values are documented there too
+//   typed-errors      no `throw` in the parser directories
+//   ring-role         SPSC try_produce/try_consume/... calls carry a
+//                     matching `ring-producer` / `ring-consumer` tag
+//   hot-path-bound    map/deque/FlatHash declarations in hot-path
+//                     directories carry `bounded(<mechanism>)` naming an
+//                     identifier that exists in the scanned sources
+//   spill-durability  raw writes in spill code carry `spill-write(fsync)`
+//                     or `manifest-append(fsync)` and an fsync follows
+//                     within 4 lines
+//
 // See docs/static-analysis.md for the rule catalog, the tag grammar, and
-// how this layer relates to Clang thread-safety, clang-tidy, dnh-lint and
-// the sanitizers.
+// how this layer relates to Clang thread-safety, clang-tidy and the
+// sanitizers.
 #pragma once
 
 #include <cstdint>
@@ -47,14 +61,14 @@ namespace dnh::analyze {
 
 /// Bumped whenever the lexer/parser output changes shape: invalidates
 /// every entry of the on-disk parse cache (see cache.cpp).
-inline constexpr int kParserVersion = 4;
+inline constexpr int kParserVersion = 5;
 
 // ---- lexer ----------------------------------------------------------------
 
 struct Token {
   enum class Kind { kIdent, kKeyword, kNumber, kString, kChar, kPunct };
   Kind kind = Kind::kPunct;
-  std::string text;
+  std::string text;  ///< a string literal keeps its quotes
   int line = 0;
 };
 
@@ -90,6 +104,9 @@ struct CallSite {
   int line = 0;
   std::vector<std::string> held;  ///< raw mutex exprs held at this call
   std::set<std::string> allows;   ///< allow(<what>) tags covering this line
+  /// Site tags covering this line: "ring-producer", "ring-consumer",
+  /// "spill-write", "manifest-append".
+  std::set<std::string> tags;
 };
 
 /// One MutexLock / lock_guard-style acquisition.
@@ -107,6 +124,17 @@ struct Evidence {
   Kind kind = Kind::kAlloc;
   std::string what;
   int line = 0;
+  std::set<std::string> allows;
+};
+
+/// A token-level fact for the site rules, found anywhere in the file
+/// (not only in function bodies).
+struct Site {
+  enum class Kind { kMetric, kTraceKind, kThrow, kContainer };
+  Kind kind = Kind::kMetric;
+  std::string text;   ///< metric literal, "kName" trace kind, or ""
+  int line = 0;
+  std::string bound;  ///< kContainer: the bounded(<mechanism>) tag's name
   std::set<std::string> allows;
 };
 
@@ -139,7 +167,20 @@ struct FileSummary {
   /// Malformed or unattachable dnh-analyze tags (always findings: a tag
   /// that silently does nothing is worse than no tag).
   std::vector<std::pair<int, std::string>> tag_errors;
+  std::vector<Site> sites;
+  /// Every identifier in the file's code: a bounded(<mechanism>) tag
+  /// resolves against the union over the site-rule files.
+  std::set<std::string> idents;
+  /// The site rules apply here: src/ and tools/ in a full-tree run, every
+  /// input of --files and --fixture-test. Set by the driver, not cached.
+  bool site_rules = false;
 };
+
+/// "producer" / "consumer" for an SPSC ring operation (`.try_produce(`,
+/// `->try_consume_n(`, ...), "" for any other call.
+std::string ring_side(const CallSite& call);
+/// full_write, ::write and fwrite: the raw writes spill-durability judges.
+bool is_raw_write(const CallSite& call);
 
 /// Parses one file into its summary. `relpath` is repo-relative.
 FileSummary parse_file(const std::string& relpath, std::string_view text);
@@ -162,6 +203,10 @@ struct Program {
       by_name;
   std::map<std::string, std::map<std::string, std::string>> members;
   std::map<std::string, std::set<std::string>> mutex_owners;
+  /// Identifiers in <root>/docs/observability.md; nullopt when the file
+  /// is absent (the site rules then check only the dnh_ prefix). Read at
+  /// every run, never cached, so a catalog edit needs no cache miss.
+  std::optional<std::set<std::string>> catalog;
 
   void index();
   const FunctionInfo& fn(std::pair<std::size_t, std::size_t> id) const {
@@ -180,7 +225,7 @@ struct RuleStats {
   std::map<std::string, std::size_t> unresolved_names;
 };
 
-/// Runs all four rules plus tag validation. Appends to `findings`.
+/// Runs every rule plus tag validation. Appends to `findings`.
 void run_rules(const Program& program, std::vector<Finding>& findings,
                RuleStats& stats);
 

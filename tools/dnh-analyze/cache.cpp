@@ -116,6 +116,8 @@ void cache_store(const std::string& cache_dir, const std::string& relpath,
       write_list(out, c.held);
       out << kSep;
       write_list(out, c.allows);
+      out << kSep;
+      write_list(out, c.tags);
       out << "\n";
     }
     for (const LockAcquire& l : fn.locks) {
@@ -141,6 +143,16 @@ void cache_store(const std::string& cache_dir, const std::string& relpath,
       out << "X" << kSep << detab(member) << kSep << detab(cls) << "\n";
   for (const auto& [line, message] : summary.tag_errors)
     out << "T" << kSep << line << kSep << detab(message) << "\n";
+  for (const Site& site : summary.sites) {
+    out << "S" << kSep << static_cast<int>(site.kind) << kSep
+        << detab(site.text) << kSep << site.line << kSep << detab(site.bound)
+        << kSep;
+    write_list(out, site.allows);
+    out << "\n";
+  }
+  out << "I" << kSep;
+  write_list(out, summary.idents);
+  out << "\n";
   const std::string path = cache_path(cache_dir, relpath, content);
   std::ofstream file{path + ".tmp", std::ios::binary | std::ios::trunc};
   if (!file) return;
@@ -209,7 +221,8 @@ std::optional<FileSummary> cache_load(const std::string& cache_dir,
       c.global = f[5] == "1";
       if (!to_int(f[6], c.line)) return std::nullopt;
       std::size_t idx = 7;
-      if (!read_list(f, idx, c.held) || !read_list(f, idx, c.allows))
+      if (!read_list(f, idx, c.held) || !read_list(f, idx, c.allows) ||
+          !read_list(f, idx, c.tags))
         return std::nullopt;
       summary.functions.back().calls.push_back(std::move(c));
     } else if (f[0] == "L") {
@@ -243,6 +256,22 @@ std::optional<FileSummary> cache_load(const std::string& cache_dir,
       int tl = 0;
       if (!to_int(f[1], tl)) return std::nullopt;
       summary.tag_errors.emplace_back(tl, f[2]);
+    } else if (f[0] == "S") {
+      if (f.size() < 6) return std::nullopt;
+      Site site;
+      int kind = 0;
+      if (!to_int(f[1], kind) || !to_int(f[3], site.line) || kind < 0 ||
+          kind > static_cast<int>(Site::Kind::kContainer))
+        return std::nullopt;
+      site.kind = static_cast<Site::Kind>(kind);
+      site.text = f[2];
+      site.bound = f[4];
+      std::size_t idx = 5;
+      if (!read_list(f, idx, site.allows)) return std::nullopt;
+      summary.sites.push_back(std::move(site));
+    } else if (f[0] == "I") {
+      std::size_t idx = 1;
+      if (!read_list(f, idx, summary.idents)) return std::nullopt;
     } else {
       return std::nullopt;
     }

@@ -179,9 +179,13 @@ LexOutput lex_file(std::string_view text) {
         if (text[end] == '\n') break;  // unterminated: bail at line end
         ++end;
       }
-      out.tokens.push_back({quote == '"' ? Token::Kind::kString
-                                         : Token::Kind::kChar,
-                            std::string{quote} + "\"", line});
+      // A string keeps its quoted spelling (never equal to a punctuator
+      // the parser matches on); the metric-name rule reads the contents.
+      out.tokens.push_back(
+          {quote == '"' ? Token::Kind::kString : Token::Kind::kChar,
+           quote == '"' ? std::string{text.substr(i, end + 1 - i)}
+                        : std::string{"'\""},
+           line});
       i = end < n ? end + 1 : n;
       continue;
     }

@@ -2,10 +2,11 @@
 // tool checks and docs/static-analysis.md for the full rule catalog.
 //
 // Exit codes: 0 clean, 1 findings (or fixture mismatch), 2 usage/IO
-// error — mirroring dnh-lint so CI wiring treats both tools alike.
+// error.
 #include "analyze.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -19,13 +20,18 @@ namespace {
 
 constexpr const char* kUsage = R"(usage: dnh-analyze [options]
 
-Call-graph-aware interprocedural invariant checker (signal-safety,
-transitive hot-path no-alloc, DomainId provenance, lock order).
+Project invariant checker: interprocedural rules over a recovered call
+graph (signal-safety, transitive hot-path no-alloc, DomainId provenance,
+lock order) and site rules over src/ and tools/ (metric and trace-event
+catalog, typed parser errors, SPSC ring roles, hot-path container bounds,
+spill durability).
 
 inputs (default: --compile-commands build/compile_commands.json):
   --compile-commands PATH  TU list; headers under <root>/src are added
-  --root DIR               repo root for relative paths (default: .)
-  --files FILE...          analyze exactly these files (rest of argv)
+  --root DIR               repo root for relative paths and the catalog
+                           <root>/docs/observability.md (default: .)
+  --files FILE...          analyze exactly these files (rest of argv);
+                           the site rules apply to every one
 
 modes:
   --fixture-test DIR       self-test against an expectation-annotated
@@ -118,6 +124,23 @@ std::vector<fs::path> read_compile_commands(const fs::path& path) {
   return out;
 }
 
+/// Identifiers in the observability catalog; nullopt if it is absent.
+std::optional<std::set<std::string>> read_catalog(const fs::path& root) {
+  std::string text;
+  if (!read_file(root / "docs" / "observability.md", text)) return std::nullopt;
+  std::set<std::string> words;
+  std::string word;
+  for (const char c : text + ' ') {
+    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
+      word += c;
+    } else if (!word.empty()) {
+      words.insert(std::move(word));
+      word.clear();
+    }
+  }
+  return words;
+}
+
 std::string rel_to_root(const fs::path& file, const fs::path& root) {
   std::error_code ec;
   const fs::path rel = fs::relative(file, root, ec);
@@ -153,7 +176,19 @@ int run(const Options& opt) {
         "lock-order      no cycles in the held-set-propagated lock-order "
         "graph\n"
         "tag-syntax      every `dnh-analyze:` tag is well-formed and "
-        "attaches to something\n");
+        "attaches to something\n"
+        "metric-name     registered metric names start with dnh_ and are "
+        "documented in docs/observability.md\n"
+        "trace-catalog   recorded TraceKind values are documented in "
+        "docs/observability.md\n"
+        "typed-errors    parse code in src/{dns,pcap,http,flowexport} "
+        "never throws\n"
+        "ring-role       SPSC push/pop sites carry a matching ring-producer/"
+        "ring-consumer tag\n"
+        "hot-path-bound  hot-path map/deque/FlatHash declarations name a "
+        "bounding mechanism\n"
+        "spill-durability  spill/manifest raw writes carry an ordering tag "
+        "and fsync within 4 lines\n");
     return 0;
   }
   if (!opt.fixture_dir.empty()) return run_fixture_test(opt);
@@ -208,6 +243,10 @@ int run(const Options& opt) {
       cache_store(opt.cache_dir.string(), rel, text, summary);
     program.files.push_back(std::move(summary));
   }
+  for (FileSummary& file : program.files)
+    file.site_rules = !opt.files.empty() || file.path.rfind("src/", 0) == 0 ||
+                      file.path.rfind("tools/", 0) == 0;
+  program.catalog = read_catalog(opt.root);
   program.index();
 
   if (!opt.dump_tag.empty()) {
@@ -281,6 +320,7 @@ int run_fixture_test(const Options& opt) {
                  opt.fixture_dir.string().c_str());
     return 2;
   }
+  const auto catalog = read_catalog(opt.root);
   std::size_t failures = 0;
   for (const fs::path& path : fixtures) {
     std::string text;
@@ -323,6 +363,8 @@ int run_fixture_test(const Options& opt) {
     }
     Program program;
     program.files.push_back(parse_file(virtual_path, text));
+    program.files.back().site_rules = true;
+    program.catalog = catalog;
     program.index();
     std::vector<Finding> findings;
     RuleStats stats;

@@ -1,9 +1,10 @@
 // Heuristic C++ structure recovery for dnh-analyze: function definitions
 // with qualified names, call sites, MutexLock acquisitions with the
 // held-set at each site, direct allocation / signal-unsafety evidence,
-// and class member-type maps (used to give mutexes class-qualified
-// identities). Not a compiler front-end: ambiguity is surfaced as
-// unresolved/ambiguous edges downstream, never silently dropped.
+// class member-type maps (used to give mutexes class-qualified
+// identities), and the token-level sites the site rules judge. Not a
+// compiler front-end: ambiguity is surfaced as unresolved/ambiguous edges
+// downstream, never silently dropped.
 #include "analyze.hpp"
 
 #include <algorithm>
@@ -30,6 +31,8 @@ const std::set<std::string>& alloc_types() {
       "ofstream", "ifstream", "fstream", "wstring"};
   return kTypes;
 }
+
+bool is_ring_op(const CallSite& call) { return !ring_side(call).empty(); }
 
 const std::set<std::string>& guard_types() {
   static const std::set<std::string> kGuards = {
@@ -58,6 +61,7 @@ class Parser {
 
   FileSummary run() {
     while (pos_ < toks_.size()) step();
+    collect_sites();
     attach_tags();
     return std::move(summary_);
   }
@@ -577,6 +581,51 @@ class Parser {
     fn->calls.push_back(std::move(call));
   }
 
+  // ---- site-rule facts ----------------------------------------------------
+
+  /// Metric registrations, TraceKind uses, `throw`s and container
+  /// declarations anywhere in the file, plus every identifier.
+  void collect_sites() {
+    static const std::set<std::string> kMetricCalls = {
+        "counter", "gauge", "histogram", "shard_label", "shard_gauge_name"};
+    for (std::size_t i = 0; i < toks_.size(); ++i) {
+      const Token& t = toks_[i];
+      if (t.text == "throw")
+        summary_.sites.push_back({Site::Kind::kThrow, "", t.line, "", {}});
+      if (i == 0 || toks_[i - 1].line != t.line) collect_container(i);
+      if (t.kind != Token::Kind::kIdent) continue;
+      summary_.idents.insert(t.text);
+      if (kMetricCalls.count(t.text) != 0 && is(i + 1, "(") &&
+          tok(i + 2).kind == Token::Kind::kString) {
+        const std::string& lit = tok(i + 2).text;
+        summary_.sites.push_back({Site::Kind::kMetric,
+                                  lit.substr(1, lit.size() - 2), t.line, "",
+                                  {}});
+      } else if (t.text == "TraceKind" && is(i + 1, "::") &&
+                 tok(i + 2).kind == Token::Kind::kIdent &&
+                 tok(i + 2).text.size() > 1 && tok(i + 2).text[0] == 'k') {
+        summary_.sites.push_back(
+            {Site::Kind::kTraceKind, tok(i + 2).text, t.line, "", {}});
+      }
+    }
+  }
+
+  /// Records a container declaration opening its line at token `i`:
+  ///   [mutable] [const] std::map< | [dnh::]util::FlatHash<
+  void collect_container(std::size_t i) {
+    static const std::set<std::string> kStdContainers = {
+        "map", "unordered_map", "multimap", "deque"};
+    const int line = tok(i).line;
+    if (is(i, "mutable")) ++i;
+    if (is(i, "const")) ++i;
+    if (is(i, "dnh") && is(i + 1, "::") && is(i + 2, "util")) i += 2;
+    if ((is(i, "std") && is(i + 1, "::") &&
+         kStdContainers.count(tok(i + 2).text) != 0 && is(i + 3, "<")) ||
+        (is(i, "util") && is(i + 1, "::") && is(i + 2, "FlatHash") &&
+         is(i + 3, "<")))
+      summary_.sites.push_back({Site::Kind::kContainer, "", line, "", {}});
+  }
+
   // ---- tags ---------------------------------------------------------------
 
   static bool parse_paren_arg(const std::string& text, std::size_t open,
@@ -600,7 +649,7 @@ class Parser {
 
   /// Function a tag at `line` belongs to, honoring body boundaries so a
   /// tag inside (or at the end of) one function can never attach to the
-  /// next one — the leakage bug dnh-lint's TAG_LOOKBACK had. `fn_level`
+  /// next one, the way a fixed-size lookback window leaks. `fn_level`
   /// is true when the tag governs the whole function: it sits on/above
   /// the signature or on the first lines of the body.
   FunctionInfo* function_for_tag(int line, bool& fn_level) {
@@ -621,28 +670,96 @@ class Parser {
     return best;
   }
 
-  /// True if any recorded site (call, lock, evidence) sits within the
-  /// allow tag's reach: the tag's own line or the two lines below it.
-  bool attach_allow(const std::string& what, int line) {
+  const FunctionInfo* enclosing(int line) const {
+    for (const FunctionInfo& fn : summary_.functions)
+      if (line >= fn.line && fn.body_end != 0 && line <= fn.body_end)
+        return &fn;
+    return nullptr;
+  }
+
+  /// A site tag's reach: its anchor line or the two lines below it, never
+  /// into a different function than the one whose body holds the tag (an
+  /// allow at the end of one function must not cover the next one).
+  bool covers(const TagComment& tag, int anchor, int line) const {
+    if (line < anchor || line - anchor > 2) return false;
+    const FunctionInfo* home = enclosing(tag.line);
+    return home == nullptr || home == enclosing(line);
+  }
+
+  /// Adds `what` to `slot` of every call site in reach that `pred`
+  /// accepts; true if there was one.
+  template <typename Pred>
+  bool tag_calls(const TagComment& tag, int anchor, const std::string& what,
+                 Pred pred, std::set<std::string> CallSite::*slot) {
     bool hit = false;
-    for (FunctionInfo& fn : summary_.functions) {
+    for (FunctionInfo& fn : summary_.functions)
       for (CallSite& c : fn.calls)
-        if (c.line >= line && c.line - line <= 2) {
-          c.allows.insert(what);
+        if (pred(c) && covers(tag, anchor, c.line)) {
+          (c.*slot).insert(what);
           hit = true;
         }
+    return hit;
+  }
+
+  /// Attaches allow(<what>) to what it reaches; true if anything. A site
+  /// rule's allow must sit on a site of that rule. An interprocedural
+  /// rule's allow covers any call, lock or evidence in reach, and the
+  /// whole function when it sits at the top of the body.
+  bool attach_allow(const std::string& what, const TagComment& tag,
+                    int anchor) {
+    static const std::map<std::string, Site::Kind> kSiteKinds = {
+        {"metric-name", Site::Kind::kMetric},
+        {"trace-catalog", Site::Kind::kTraceKind},
+        {"typed-errors", Site::Kind::kThrow},
+        {"hot-path-bound", Site::Kind::kContainer}};
+    if (what == "ring-role")
+      return tag_calls(tag, anchor, what, is_ring_op, &CallSite::allows);
+    if (what == "spill-durability")
+      return tag_calls(tag, anchor, what, is_raw_write, &CallSite::allows);
+    bool hit = false;
+    const auto site_kind = kSiteKinds.find(what);
+    if (site_kind != kSiteKinds.end()) {
+      for (Site& s : summary_.sites)
+        if (s.kind == site_kind->second && covers(tag, anchor, s.line)) {
+          s.allows.insert(what);
+          hit = true;
+        }
+      return hit;
+    }
+    hit = tag_calls(tag, anchor, what, [](const CallSite&) { return true; },
+                    &CallSite::allows);
+    for (FunctionInfo& fn : summary_.functions) {
       for (LockAcquire& l : fn.locks)
-        if (l.line >= line && l.line - line <= 2) {
+        if (covers(tag, anchor, l.line)) {
           l.allows.insert(what);
           hit = true;
         }
       for (Evidence& e : fn.evidence)
-        if (e.line >= line && e.line - line <= 2) {
+        if (covers(tag, anchor, e.line)) {
           e.allows.insert(what);
           hit = true;
         }
     }
+    bool fn_level = false;
+    FunctionInfo* fn = function_for_tag(anchor, fn_level);
+    if (fn != nullptr && fn_level) {
+      fn->fn_allows.insert(what);
+      hit = true;
+    }
     return hit;
+  }
+
+  /// The identifier between `(` at `open` and the next `)`; "" if the
+  /// argument is not one.
+  static std::string ident_arg(const std::string& text, std::size_t open) {
+    const std::size_t close = text.find(')', open);
+    if (open == std::string::npos || close == std::string::npos) return "";
+    const std::string arg = text.substr(open + 1, close - open - 1);
+    if (arg.empty() || std::isdigit(static_cast<unsigned char>(arg[0])))
+      return "";
+    for (const char c : arg)
+      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return "";
+    return arg;
   }
 
   /// Attachment anchor for a tag: its own end line, extended through any
@@ -669,7 +786,9 @@ class Parser {
 
   void attach_tags() {
     static const std::set<std::string> kAllowWhats = {
-        "signal-safety", "alloc", "provenance", "lock-order"};
+        "signal-safety", "alloc",          "provenance",    "lock-order",
+        "metric-name",   "trace-catalog",  "typed-errors",  "ring-role",
+        "hot-path-bound", "spill-durability"};
     for (const TagComment& tag : tags_) {
       const int aline = anchor_line(tag);
       const std::string& text = tag.text;
@@ -709,6 +828,43 @@ class Parser {
         fn->tag_id_remap = true;
         continue;
       }
+      if (word == "ring-producer" || word == "ring-consumer") {
+        if (!tag_calls(tag, aline, word, is_ring_op, &CallSite::tags))
+          summary_.tag_errors.push_back(
+              {tag.line, word + " tag sits on no SPSC ring operation"});
+        continue;
+      }
+      if (word == "spill-write" || word == "manifest-append") {
+        if (ident_arg(text, paren) != "fsync") {
+          summary_.tag_errors.push_back(
+              {tag.line, "malformed tag: " + word + "(fsync)"});
+          continue;
+        }
+        if (!tag_calls(tag, aline, word, is_raw_write, &CallSite::tags))
+          summary_.tag_errors.push_back(
+              {tag.line, word + "(fsync) tag sits on no raw write"});
+        continue;
+      }
+      if (word == "bounded") {
+        const std::string mechanism = ident_arg(text, paren);
+        if (mechanism.empty()) {
+          summary_.tag_errors.push_back(
+              {tag.line, "malformed bounded tag: bounded(<mechanism>)"});
+          continue;
+        }
+        bool hit = false;
+        for (Site& s : summary_.sites)
+          if (s.kind == Site::Kind::kContainer &&
+              covers(tag, aline, s.line)) {
+            s.bound = mechanism;
+            hit = true;
+          }
+        if (!hit)
+          summary_.tag_errors.push_back(
+              {tag.line, "bounded(" + mechanism +
+                             ") sits on no container declaration"});
+        continue;
+      }
       if (word == "allow") {
         std::string what, why;
         if (paren == std::string::npos ||
@@ -720,7 +876,9 @@ class Parser {
         if (kAllowWhats.count(what) == 0) {
           summary_.tag_errors.push_back(
               {tag.line, "allow(" + what + ", ...): unknown rule; one of "
-                         "signal-safety|alloc|provenance|lock-order"});
+                         "signal-safety|alloc|provenance|lock-order|"
+                         "metric-name|trace-catalog|typed-errors|ring-role|"
+                         "hot-path-bound|spill-durability"});
           continue;
         }
         if (why.empty()) {
@@ -730,14 +888,7 @@ class Parser {
                "allow(" + what + ", <why>)"});
           continue;
         }
-        bool attached = attach_allow(what, aline);
-        bool fn_level = false;
-        FunctionInfo* fn = function_for_tag(aline, fn_level);
-        if (fn != nullptr && fn_level) {
-          fn->fn_allows.insert(what);
-          attached = true;
-        }
-        if (!attached)
+        if (!attach_allow(what, tag, aline))
           summary_.tag_errors.push_back(
               {tag.line, "allow(" + what + ", ...) suppresses nothing here"});
         continue;
@@ -779,6 +930,21 @@ class Parser {
 };
 
 }  // namespace
+
+std::string ring_side(const CallSite& call) {
+  if (!call.member || call.name.rfind("try_", 0) != 0) return "";
+  std::string op = call.name.substr(4);
+  if (op.size() > 2 && op.compare(op.size() - 2, 2, "_n") == 0)
+    op.resize(op.size() - 2);
+  if (op == "push" || op == "produce") return "producer";
+  if (op == "pop" || op == "consume") return "consumer";
+  return "";
+}
+
+bool is_raw_write(const CallSite& call) {
+  return call.name == "full_write" || call.name == "fwrite" ||
+         (call.name == "write" && call.global);
+}
 
 FileSummary parse_file(const std::string& relpath, std::string_view text) {
   return Parser{relpath, lex_file(text)}.run();

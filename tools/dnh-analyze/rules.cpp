@@ -1,10 +1,11 @@
-// Rule engine for dnh-analyze: heuristic call-graph resolution plus the
+// Rule engine for dnh-analyze: heuristic call-graph resolution, the
 // four interprocedural rules (signal-safety, no-alloc, id-provenance,
-// lock-order) and the --dump-callgraph view. Resolution policy: unique
-// match -> resolved; several same-name candidates -> traverse all of them
-// (ambiguous, counted); no candidate -> classified by name against the
-// known-external tables, and otherwise counted as unresolved and listed
-// in the run summary — never silently dropped.
+// lock-order), the six site rules, and the --dump-callgraph view.
+// Resolution policy: unique match -> resolved; several same-name
+// candidates -> traverse all of them (ambiguous, counted); no candidate
+// -> classified by name against the known-external tables, and otherwise
+// counted as unresolved and listed in the run summary — never silently
+// dropped.
 #include "analyze.hpp"
 
 #include <algorithm>
@@ -69,8 +70,8 @@ const std::map<std::string, std::string>& signal_banned() {
 }
 
 /// Externals that allocate, for the hot-path no-alloc rule. Container
-/// growth (push_back on reserved vectors) is dnh-lint's hot-path-bound
-/// territory; this rule bans the unconditional allocators.
+/// growth (push_back on reserved vectors) is hot-path-bound's territory;
+/// this rule bans the unconditional allocators.
 const std::set<std::string>& alloc_banned() {
   static const std::set<std::string> kBanned = {
       "malloc",      "calloc",      "realloc",  "strdup", "aligned_alloc",
@@ -622,6 +623,123 @@ void rule_lock_order(const Program& p, const Graph& g,
   }
 }
 
+// ---- site rules ------------------------------------------------------------
+
+bool under(const std::string& path, std::initializer_list<const char*> dirs) {
+  for (const char* dir : dirs)
+    if (path.rfind(std::string{dir} + "/", 0) == 0) return true;
+  return false;
+}
+
+void rule_sites(const Program& p, std::vector<Finding>& findings,
+                RuleStats& stats) {
+  std::set<std::string> mechanisms;  // what a bounded(<name>) may name
+  for (const FileSummary& f : p.files)
+    if (f.site_rules) mechanisms.insert(f.idents.begin(), f.idents.end());
+  for (const FileSummary& f : p.files) {
+    if (!f.site_rules) continue;
+    // Parsers return typed errors; every parser directory is also on the
+    // per-packet hot path.
+    const bool parser =
+        under(f.path, {"src/dns", "src/pcap", "src/http", "src/flowexport"});
+    const bool hot =
+        parser || under(f.path, {"src/core", "src/flow", "src/pipeline"});
+    const bool spill = f.path.rfind("src/", 0) == 0 &&
+                       f.path.find("spill", f.path.rfind('/')) !=
+                           std::string::npos;
+    auto flag = [&](const char* rule, int line, std::string message) {
+      add_finding(findings, rule, f.path, line, std::move(message), {});
+    };
+    // False (and counted) when an allow silences `rule` at the site.
+    auto judged = [&](const std::set<std::string>& allows, const char* rule) {
+      if (allows.count(rule) == 0) return true;
+      ++stats.suppressed;
+      return false;
+    };
+    for (const Site& s : f.sites) {
+      switch (s.kind) {
+        case Site::Kind::kMetric: {
+          if (!judged(s.allows, "metric-name")) break;
+          const std::string base = s.text.substr(0, s.text.find('{'));
+          if (s.text.rfind("dnh_", 0) != 0)
+            flag("metric-name", s.line,
+                 "metric \"" + s.text + "\" does not start with \"dnh_\"");
+          else if (p.catalog && p.catalog->count(base) == 0)
+            flag("metric-name", s.line,
+                 "metric \"" + base +
+                     "\" is not documented in the docs/observability.md "
+                     "catalog");
+          break;
+        }
+        case Site::Kind::kTraceKind:
+          if (p.catalog && judged(s.allows, "trace-catalog") &&
+              p.catalog->count(s.text) == 0)
+            flag("trace-catalog", s.line,
+                 "trace event kind \"" + s.text +
+                     "\" is not documented in the docs/observability.md "
+                     "trace-event catalog");
+          break;
+        case Site::Kind::kThrow:
+          if (parser && judged(s.allows, "typed-errors"))
+            flag("typed-errors", s.line,
+                 "parse code here must return typed errors "
+                 "(DecodeFailure/NameParseError/...), not throw");
+          break;
+        case Site::Kind::kContainer:
+          if (!hot || !judged(s.allows, "hot-path-bound")) break;
+          if (s.bound.empty())
+            flag("hot-path-bound", s.line,
+                 "hot-path container has no `bounded(<mechanism>)` tag "
+                 "naming its eviction/cap/rotation mechanism");
+          else if (mechanisms.count(s.bound) == 0)
+            flag("hot-path-bound", s.line,
+                 "bounded(" + s.bound +
+                     ") names a mechanism that does not exist in the "
+                     "scanned sources");
+          break;
+      }
+    }
+    for (const FunctionInfo& fn : f.functions) {
+      for (const CallSite& c : fn.calls) {
+        const std::string side = ring_side(c);
+        if (!side.empty() && judged(c.allows, "ring-role") &&
+            c.tags.count("ring-" + side) == 0) {
+          const std::string other =
+              side == "producer" ? "ring-consumer" : "ring-producer";
+          flag("ring-role", c.line,
+               c.tags.count(other) != 0
+                   ? c.name + "() is a " + side +
+                         "-side operation but the site is tagged " + other
+                   : "SPSC " + c.name + "() site missing a `ring-" + side +
+                         "` role tag");
+        }
+        if (!spill || !is_raw_write(c) || !judged(c.allows, "spill-durability"))
+          continue;
+        if (c.tags.count("spill-write") == 0 &&
+            c.tags.count("manifest-append") == 0) {
+          flag("spill-durability", c.line,
+               "raw write in spill/manifest code without a "
+               "`spill-write(fsync)` or `manifest-append(fsync)` ordering "
+               "tag (docs/recovery.md)");
+          continue;
+        }
+        const bool synced =
+            std::any_of(fn.calls.begin(), fn.calls.end(),
+                        [&](const CallSite& other) {
+                          return other.name == "fsync" &&
+                                 other.line >= c.line &&
+                                 other.line - c.line <= 4;
+                        });
+        if (!synced)
+          flag("spill-durability", c.line,
+               "tagged spill/manifest write has no fsync within 4 lines; "
+               "the record must be durable before the manifest "
+               "references it");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void run_rules(const Program& program, std::vector<Finding>& findings,
@@ -634,6 +752,7 @@ void run_rules(const Program& program, std::vector<Finding>& findings,
   rule_no_alloc(program, g, findings, stats);
   rule_provenance(program, g, findings, stats);
   rule_lock_order(program, g, findings, stats);
+  rule_sites(program, findings, stats);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.rule, a.message) <
