@@ -1,19 +1,33 @@
-// Microbenchmarks for the flat-hash hot path (docs/performance.md):
+// Microbenchmarks for the resolver and flow-table hot paths
+// (docs/performance.md):
 //
-//  A/B/C resolver policies — OrderedMapPolicy (the paper's nested
-//  std::map design), UnorderedMapPolicy (nested node-hash maps), and
-//  FlatMapPolicy (one open-addressing probe over a packed 64-bit
-//  (client, server) key; the production default). The acceptance target
-//  for the rework is flat lookup >= 1.5x unordered lookup in Release —
-//  CI's perf-smoke job checks exactly that against BENCH_lookup.json.
+//  Resolver index A/B/C — the paper's nested ordered maps, nested
+//  unordered maps (footnote 2; both from tests/nested_pair_index.hpp) and
+//  the production FlatPairIndex (one open-addressing probe over a packed
+//  64-bit (client, server) key). Insert from text (`*_insert`, pays the
+//  intern probe), insert of pre-interned DomainIds (`*_insert_interned`,
+//  the sniffer's path) and lookup, each as the client population Nc
+//  grows. The paper's complexity claim is O(log Nc + log Ns(c)) per
+//  operation with ordered maps; hash maps trade ordering for O(1)
+//  expected.
 //
 //  Flow-table packet churn — the container-level A/B behind converting
 //  FlowTable::flows_: a FlowKey-keyed std::unordered_map vs
 //  util::FlatHash under the mixed find/insert/erase pattern packets
 //  drive.
 //
-//  FlowDatabase distinct queries — the satellite rework: sorted interned
-//  vectors vs the node-per-element std::set the helpers used to build.
+//  FlowDatabase distinct queries — sorted interned vectors vs the
+//  node-per-element std::set the helpers used to build.
+//
+// Every row reports `allocs_per_op` (global operator-new count per
+// iteration). Lookups allocate 0. Steady-state inserts do not: a new
+// (client, server) key's label chain (a vector) allocates on its first
+// entry and evicting the key frees it, about 2 allocations per insert for
+// flat and 3.5-4 for the nested maps at >= 1k clients
+// (docs/performance.md). CI's perf-smoke job compares a Release run
+// against bench/BENCH_lookup.json: a >2x tripwire on the guarded rows, 0
+// allocs on every lookup, and flat lookup >= 1.5x unordered at every
+// population.
 //
 // Run:  bench_lookup_micro --benchmark_format=json > BENCH_lookup.json
 #include <benchmark/benchmark.h>
@@ -21,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <set>
 #include <span>
@@ -32,6 +47,7 @@
 #include "core/flowdb.hpp"
 #include "core/resolver.hpp"
 #include "flow/flow.hpp"
+#include "tests/nested_pair_index.hpp"
 #include "util/flat_hash.hpp"
 #include "util/rng.hpp"
 
@@ -57,11 +73,13 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using dnh::core::BasicDnsResolver;
-using dnh::core::FlatMapPolicy;
-using dnh::core::OrderedMapPolicy;
-using dnh::core::UnorderedMapPolicy;
+using dnh::core::FlatPairIndex;
+using dnh::core::OrderedPairIndex;
+using dnh::core::UnorderedPairIndex;
 using dnh::net::Ipv4Address;
 
+// Publishes the operator-new count of the timed region as a per-iteration
+// counter next to the timing columns.
 class AllocScope {
  public:
   explicit AllocScope(benchmark::State& state)
@@ -79,7 +97,7 @@ class AllocScope {
   std::uint64_t before_;
 };
 
-// ---- resolver policy A/B/C --------------------------------------------
+// ---- resolver index A/B/C ---------------------------------------------
 
 struct Workload {
   std::vector<Ipv4Address> clients;
@@ -99,12 +117,12 @@ Workload make_workload(std::size_t n_clients) {
 }
 
 /// The per-packet query: every non-DNS packet's first sight costs one
-/// resolver lookup, so this is THE number the flat rework targets.
-template <typename Policy>
+/// resolver lookup, so this is THE number the flat index targets.
+template <template <typename> class Index>
 void resolver_lookup(benchmark::State& state) {
   const auto workload =
       make_workload(static_cast<std::size_t>(state.range(0)));
-  BasicDnsResolver<Policy> resolver{1 << 20};
+  BasicDnsResolver<Index> resolver{1 << 20};
   dnh::util::Rng rng{17};
   // Preload: every client knows ~32 servers (mixed hits and misses in the
   // timed loop, like real traffic).
@@ -128,9 +146,12 @@ void resolver_lookup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 
-/// Steady-state insert with Clist recycling: measures try_emplace plus
-/// delete_back_references churn through the index.
-template <typename Policy>
+/// Steady-state insert with Clist recycling: try_emplace plus
+/// delete_back_references churn through the index. Every name is interned
+/// and every Clist slot cycled once before timing, the state a live
+/// capture runs in. `kInterned` hands the resolver DomainIds (the
+/// sniffer's path); otherwise each insert pays the intern probe.
+template <template <typename> class Index, bool kInterned>
 void resolver_insert(benchmark::State& state) {
   const auto workload =
       make_workload(static_cast<std::size_t>(state.range(0)));
@@ -139,7 +160,7 @@ void resolver_insert(benchmark::State& state) {
   ids.reserve(workload.fqdns.size());
   for (const auto& fqdn : workload.fqdns) ids.push_back(table->intern(fqdn));
   constexpr std::size_t kClist = 1 << 16;
-  BasicDnsResolver<Policy> resolver{kClist, std::move(table)};
+  BasicDnsResolver<Index> resolver{kClist, std::move(table)};
   dnh::util::Rng rng{13};
   std::uint64_t i = 0;
   auto insert_one = [&] {
@@ -147,9 +168,13 @@ void resolver_insert(benchmark::State& state) {
     const Ipv4Address answers[2] = {
         workload.servers[rng.index(workload.servers.size())],
         workload.servers[rng.index(workload.servers.size())]};
-    resolver.insert(client, ids[i % ids.size()], std::span{answers},
-                    dnh::util::Timestamp::from_micros(
-                        static_cast<std::int64_t>(i)));
+    const auto now =
+        dnh::util::Timestamp::from_micros(static_cast<std::int64_t>(i));
+    if constexpr (kInterned)
+      resolver.insert(client, ids[i % ids.size()], std::span{answers}, now);
+    else
+      resolver.insert(client, workload.fqdns[i % workload.fqdns.size()],
+                      std::span{answers}, now);
     ++i;
   };
   for (std::size_t warm = 0; warm < kClist + 1; ++warm) insert_one();
@@ -159,26 +184,40 @@ void resolver_insert(benchmark::State& state) {
 }
 
 void ordered_lookup(benchmark::State& s) {
-  resolver_lookup<OrderedMapPolicy>(s);
+  resolver_lookup<OrderedPairIndex>(s);
 }
 void unordered_lookup(benchmark::State& s) {
-  resolver_lookup<UnorderedMapPolicy>(s);
+  resolver_lookup<UnorderedPairIndex>(s);
 }
-void flat_lookup(benchmark::State& s) { resolver_lookup<FlatMapPolicy>(s); }
+void flat_lookup(benchmark::State& s) { resolver_lookup<FlatPairIndex>(s); }
 void ordered_insert(benchmark::State& s) {
-  resolver_insert<OrderedMapPolicy>(s);
+  resolver_insert<OrderedPairIndex, false>(s);
 }
 void unordered_insert(benchmark::State& s) {
-  resolver_insert<UnorderedMapPolicy>(s);
+  resolver_insert<UnorderedPairIndex, false>(s);
 }
-void flat_insert(benchmark::State& s) { resolver_insert<FlatMapPolicy>(s); }
+void flat_insert(benchmark::State& s) {
+  resolver_insert<FlatPairIndex, false>(s);
+}
+void ordered_insert_interned(benchmark::State& s) {
+  resolver_insert<OrderedPairIndex, true>(s);
+}
+void unordered_insert_interned(benchmark::State& s) {
+  resolver_insert<UnorderedPairIndex, true>(s);
+}
+void flat_insert_interned(benchmark::State& s) {
+  resolver_insert<FlatPairIndex, true>(s);
+}
 
 BENCHMARK(ordered_lookup)->Arg(64)->Arg(1024)->Arg(16384);
 BENCHMARK(unordered_lookup)->Arg(64)->Arg(1024)->Arg(16384);
 BENCHMARK(flat_lookup)->Arg(64)->Arg(1024)->Arg(16384);
-BENCHMARK(ordered_insert)->Arg(1024);
-BENCHMARK(unordered_insert)->Arg(1024);
-BENCHMARK(flat_insert)->Arg(1024);
+BENCHMARK(ordered_insert)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(unordered_insert)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(flat_insert)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(ordered_insert_interned)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(unordered_insert_interned)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(flat_insert_interned)->Arg(64)->Arg(1024)->Arg(16384);
 
 // ---- flow-table packet churn ------------------------------------------
 

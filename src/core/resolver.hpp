@@ -7,32 +7,31 @@
 //    Slots are created as the first lap reaches them, so committed memory
 //    grows with the responses inserted and L is only its upper bound.
 //  - A (clientIP, serverIP) -> entry index implements lookup. The paper's
-//    primary design is two nested ordered maps (O(log Nc + log Ns(c)));
-//    footnote 2 notes hash tables as the alternative. Both live on as
-//    policies, but the DEFAULT is now FlatMapPolicy: the two IPs are
-//    packed into one 64-bit key probed in a single open-addressing
-//    FlatHash — one cache-friendly probe instead of two node-walks on
-//    every lookup/insert (docs/performance.md "Flat-hash hot path";
-//    bench_lookup_micro measures all three).
+//    design is two nested ordered maps (O(log Nc + log Ns(c))); footnote 2
+//    notes hash tables as the alternative. Production packs the two IPs
+//    into one 64-bit key probed in a single open-addressing FlatHash
+//    (FlatPairIndex): one cache-friendly probe instead of two node-walks
+//    on every lookup/insert (docs/performance.md "Flat-hash hot path").
+//    Both nested shapes live in tests/nested_pair_index.hpp as
+//    differential oracles; bench_lookup_micro times all three.
 //  - Entries keep back-references to their index keys so an overwritten
 //    Clist slot (line 23-25 of Alg. 1) can remove exactly its own keys.
 //
 // Determinism note: no query ever ITERATES the index — every answer goes
-// key -> Clist entry — so the index's iteration order (undefined for the
-// flat and unordered policies) can never leak into output. That is why
-// swapping the default policy keeps the tag TSV byte-identical, which the
-// differential tests (sharded vs single-threaded, policy vs policy)
-// enforce.
+// key -> Clist entry — so the index's iteration order can never leak into
+// output. That is why the flat index labels byte-identically to the
+// paper's ordered maps, which the differential tests (sharded vs
+// single-threaded, flat vs nested index) enforce.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/domain_table.hpp"
@@ -41,79 +40,6 @@
 #include "util/time.hpp"
 
 namespace dnh::core {
-
-template <typename MapPolicy, typename V>
-class NestedPairIndex;
-template <typename V>
-class FlatPairIndex;
-
-/// Ordered maps: the paper's primary design (strict weak ordering on IPs).
-struct OrderedMapPolicy {
-  template <typename K, typename V>
-  using Map = std::map<K, V>;
-  template <typename V>
-  using PairIndex = NestedPairIndex<OrderedMapPolicy, V>;
-};
-
-/// Hash maps: the footnote-2 alternative, still node-based.
-struct UnorderedMapPolicy {
-  template <typename K, typename V>
-  using Map = std::unordered_map<K, V>;
-  template <typename V>
-  using PairIndex = NestedPairIndex<UnorderedMapPolicy, V>;
-};
-
-/// Open-addressing flat table over a packed (client, server) 64-bit key:
-/// one probe, no per-entry heap nodes. The default policy.
-struct FlatMapPolicy {
-  template <typename V>
-  using PairIndex = FlatPairIndex<V>;
-};
-
-/// The nested clientIP -> (serverIP -> V) index shape shared by the
-/// Ordered and Unordered policies — exactly the pre-flat-hash layout, kept
-/// both as the paper-faithful reference and as the differential-test
-/// oracle for FlatPairIndex.
-template <typename MapPolicy, typename V>
-class NestedPairIndex {
- public:
-  const V* find(net::Ipv4Address client, net::Ipv4Address server) const {
-    const auto client_it = client_map_.find(client);
-    if (client_it == client_map_.end()) return nullptr;
-    const auto server_it = client_it->second.find(server);
-    if (server_it == client_it->second.end()) return nullptr;
-    return &server_it->second;
-  }
-  V* find(net::Ipv4Address client, net::Ipv4Address server) {
-    return const_cast<V*>(std::as_const(*this).find(client, server));
-  }
-
-  /// Value slot for (client, server), created value-initialized if absent.
-  std::pair<V*, bool> try_emplace(net::Ipv4Address client,
-                                  net::Ipv4Address server) {
-    auto [it, inserted] = client_map_[client].try_emplace(server);
-    return {&it->second, inserted};
-  }
-
-  /// Removes the (client, server) key; prunes the client's inner map when
-  /// it empties so client_count() stays exact.
-  void erase_key(net::Ipv4Address client, net::Ipv4Address server) {
-    const auto client_it = client_map_.find(client);
-    if (client_it == client_map_.end()) return;
-    client_it->second.erase(server);
-    if (client_it->second.empty()) client_map_.erase(client_it);
-  }
-
-  std::size_t client_count() const noexcept { return client_map_.size(); }
-  void reserve(std::size_t) {}  // node-based maps have no useful reserve
-
- private:
-  template <typename K, typename W>
-  using Map = typename MapPolicy::template Map<K, W>;
-  // Bounded by Clist recycling: every key is a back-reference of a live
-  // Clist entry and delete_back_references removes it on eviction.
-  Map<net::Ipv4Address, Map<net::Ipv4Address, V>> client_map_;
-};
 
 /// Single flat open-addressing table keyed by the packed 64-bit
 /// (client, server) pair. A small side table keeps per-client key counts
@@ -159,8 +85,8 @@ class FlatPairIndex {
     return (std::uint64_t{client.value()} << 32) | server.value();
   }
 
-  // Bounded by Clist recycling, same as the nested shape: eviction calls
-  // delete_back_references -> erase_key for every key the slot created.
+  // Bounded by Clist recycling: eviction calls delete_back_references ->
+  // erase_key for every key the slot created.
   // dnh-analyze: bounded(delete_back_references)
   util::FlatHash<std::uint64_t, V> table_;
   /// client -> number of live (client, *) keys; emptied with table_.
@@ -199,7 +125,10 @@ struct ResolverStats {
   std::uint64_t replaced_same_fqdn = 0;
 };
 
-template <typename MapPolicy = FlatMapPolicy>
+/// `Index<V>` maps a (client, server) pair to a V. Production uses
+/// FlatPairIndex; the tests and the lookup microbench also instantiate the
+/// paper's nested-map shape (tests/nested_pair_index.hpp) as an oracle.
+template <template <typename> class Index = FlatPairIndex>
 class BasicDnsResolver {
  public:
   /// `clist_size` is the paper's L; it bounds live entries. The resolver
@@ -256,9 +185,13 @@ class BasicDnsResolver {
       // for the lookup_all extension instead of being dropped).
       auto [chain, inserted] = index_.try_emplace(client, server);
       if (!inserted && !chain->empty()) {
-        const Entry& newest = clist_[chain->front().index];
-        if (newest.in_use &&
-            newest.generation == chain->front().generation) {
+        const EntryRef front = chain->front();
+        // A repeated address in this answer list: the key already points
+        // here, and a second ref would push an older label off the chain.
+        if (front.index == index && front.generation == slot.generation)
+          continue;
+        const Entry& newest = clist_[front.index];
+        if (newest.in_use && newest.generation == front.generation) {
           if (newest.fqdn == slot.fqdn)
             ++stats_.replaced_same_fqdn;
           else
@@ -380,7 +313,7 @@ class BasicDnsResolver {
   };
   /// Newest-first bounded history of labels for one (client,server) key.
   using RefChain = std::vector<EntryRef>;
-  using PairIndex = typename MapPolicy::template PairIndex<RefChain>;
+  using PairIndex = Index<RefChain>;
 
   const RefChain* find_chain(net::Ipv4Address client,
                              net::Ipv4Address server) const {
@@ -411,10 +344,7 @@ class BasicDnsResolver {
   mutable ResolverStats stats_;
 };
 
-/// The production default: flat single-probe index.
-using DnsResolver = BasicDnsResolver<FlatMapPolicy>;
-/// The paper's nested ordered-map design — the differential oracle.
-using DnsResolverOrdered = BasicDnsResolver<OrderedMapPolicy>;
-using DnsResolverUnordered = BasicDnsResolver<UnorderedMapPolicy>;
+/// The production resolver: flat single-probe index.
+using DnsResolver = BasicDnsResolver<FlatPairIndex>;
 
 }  // namespace dnh::core

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <span>
 
 #include "core/resolver.hpp"
+#include "nested_pair_index.hpp"
 #include "util/rng.hpp"
 
 namespace dnh::core {
@@ -121,6 +125,18 @@ TEST(Resolver, DuplicateAddressesInAnswerList) {
   const auto hit = resolver.lookup(kClient1, kServerA);
   ASSERT_TRUE(hit);
   EXPECT_EQ(hit->fqdn, "dup.example.com");
+  EXPECT_EQ(resolver.stats().replaced_same_fqdn, 0u);
+
+  // A repeated address adds no history: the key's older label survives
+  // even when the repeats outnumber kMaxLabelsPerKey.
+  insert(resolver, kClient1, "new.example.com",
+         {kServerA, kServerA, kServerA, kServerA}, 20);
+  const auto older = resolver.lookup_at_or_before(
+      kClient1, kServerA, Timestamp::from_seconds(0));
+  ASSERT_TRUE(older);
+  EXPECT_EQ(older->fqdn, "dup.example.com");
+  EXPECT_EQ(resolver.stats().replaced_same_fqdn, 0u);
+  EXPECT_EQ(resolver.stats().replaced_different_fqdn, 1u);
 }
 
 TEST(Resolver, ManyClientsSameServer) {
@@ -150,49 +166,35 @@ TEST(Resolver, ZeroCapacityClampedToOne) {
   EXPECT_EQ(resolver.capacity(), 1u);
 }
 
-TEST(Resolver, UnorderedPolicyBehavesIdentically) {
-  DnsResolverOrdered ordered{8};
-  DnsResolverUnordered unordered{8};
-  util::Rng rng{99};
-  for (int i = 0; i < 500; ++i) {
-    const Ipv4Address client{10, 0, 0,
-                             static_cast<std::uint8_t>(rng.index(8))};
-    const Ipv4Address server{static_cast<std::uint32_t>(
-        0xC0000000u + rng.index(16))};
-    if (rng.chance(0.5)) {
-      const std::string fqdn =
-          "s" + std::to_string(rng.index(12)) + ".example.com";
-      std::vector<Ipv4Address> answers{server};
-      ordered.insert(client, fqdn, std::span{answers},
-                     Timestamp::from_seconds(i));
-      unordered.insert(client, fqdn, std::span{answers},
-                       Timestamp::from_seconds(i));
-    } else {
-      const auto a = ordered.lookup(client, server);
-      const auto b = unordered.lookup(client, server);
-      ASSERT_EQ(a.has_value(), b.has_value()) << "step " << i;
-      if (a) {
-        EXPECT_EQ(a->fqdn, b->fqdn);
-      }
-    }
-  }
-}
-
-// Property test for the flat-index default: drive FlatMapPolicy and
-// OrderedMapPolicy (the paper-faithful oracle) through MANY full Clist
-// wraps with randomized (client, server) keys — heavy slot recycling and
+// Property test for the production index: drive FlatPairIndex and the
+// paper's ordered maps (the oracle) through MANY full Clist wraps with
+// randomized (client, server) keys — heavy slot recycling and
 // delete_back_references churn — and require identical answers from all
-// three query shapes at every step. Parameterized over Clist sizes so the
-// wrap frequency varies from "every insert" to "once, near the end" (2000)
-// to "never" (2^20: every insert lands on the first lap).
+// three query shapes at every step. The footnote-2 unordered maps run the
+// same drive against the same oracle. Both sides share BasicDnsResolver,
+// so lookup_at_or_before is also checked against a model of each key's
+// label history. Parameterized over Clist sizes so the wrap frequency
+// varies from "every insert" to "once, near the end" (2000) to "never"
+// (2^20: every insert lands on the first lap).
 class FlatPolicyEquivalence : public ::testing::TestWithParam<std::size_t> {
 };
 
-TEST_P(FlatPolicyEquivalence, MatchesOrderedThroughFullClistWrap) {
-  const std::size_t L = GetParam();
-  BasicDnsResolver<FlatMapPolicy> flat{L};
-  BasicDnsResolver<OrderedMapPolicy> ordered{L};
+template <template <typename> class Index>
+void expect_matches_ordered(std::size_t L) {
+  BasicDnsResolver<Index> tested{L};
+  BasicDnsResolver<OrderedPairIndex> ordered{L};
   util::Rng rng{0xC1157ULL * (L + 1)};
+  // Model: each key keeps the newest kMaxLabelsPerKey inserts that named
+  // it (once per insert, however often its answer list repeats the
+  // address); an insert is live while it is among the last L.
+  struct Label {
+    std::size_t seq;
+    std::string fqdn;
+    std::int64_t time;
+  };
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::deque<Label>>
+      history;
+  std::size_t inserted = 0;
 
   const std::size_t steps = 4000;
   for (std::size_t step = 0; step < steps; ++step) {
@@ -208,13 +210,21 @@ TEST_P(FlatPolicyEquivalence, MatchesOrderedThroughFullClistWrap) {
       for (std::size_t i = 0; i < n; ++i)
         answers.emplace_back(static_cast<std::uint32_t>(
             0xC0A80000u + rng.index(24)));
-      flat.insert(client, fqdn, std::span{answers},
-                  Timestamp::from_seconds(static_cast<std::int64_t>(step)));
+      tested.insert(client, fqdn, std::span{answers},
+                    Timestamp::from_seconds(static_cast<std::int64_t>(step)));
       ordered.insert(client, fqdn, std::span{answers},
                      Timestamp::from_seconds(static_cast<std::int64_t>(step)));
+      ++inserted;
+      for (auto it = answers.begin(); it != answers.end(); ++it) {
+        if (std::find(answers.begin(), it, *it) != it) continue;
+        auto& labels = history[{client.value(), it->value()}];
+        labels.push_front(
+            {inserted, fqdn, static_cast<std::int64_t>(step)});
+        if (labels.size() > kMaxLabelsPerKey) labels.pop_back();
+      }
     } else {
       // lookup
-      const auto a = flat.lookup(client, server);
+      const auto a = tested.lookup(client, server);
       const auto b = ordered.lookup(client, server);
       ASSERT_EQ(a.has_value(), b.has_value()) << "lookup step " << step;
       if (a) {
@@ -223,7 +233,7 @@ TEST_P(FlatPolicyEquivalence, MatchesOrderedThroughFullClistWrap) {
                   b->response_time.seconds_since_epoch());
       }
       // lookup_all
-      const auto all_a = flat.lookup_all(client, server);
+      const auto all_a = tested.lookup_all(client, server);
       const auto all_b = ordered.lookup_all(client, server);
       ASSERT_EQ(all_a.size(), all_b.size()) << "lookup_all step " << step;
       for (std::size_t i = 0; i < all_a.size(); ++i)
@@ -231,20 +241,42 @@ TEST_P(FlatPolicyEquivalence, MatchesOrderedThroughFullClistWrap) {
       // lookup_at_or_before, with a cutoff somewhere inside the history
       const auto cutoff = Timestamp::from_seconds(
           static_cast<std::int64_t>(rng.index(step + 1)));
-      const auto at_a = flat.lookup_at_or_before(client, server, cutoff);
+      const auto at_a = tested.lookup_at_or_before(client, server, cutoff);
       const auto at_b = ordered.lookup_at_or_before(client, server, cutoff);
       ASSERT_EQ(at_a.has_value(), at_b.has_value())
           << "lookup_at_or_before step " << step;
-      if (at_a) EXPECT_EQ(at_a->fqdn, at_b->fqdn);
+      if (at_a) {
+        EXPECT_EQ(at_a->fqdn, at_b->fqdn);
+      }
+      const Label* want = nullptr;
+      for (const auto& label : history[{client.value(), server.value()}]) {
+        if (label.seq + L > inserted &&
+            label.time <= cutoff.seconds_since_epoch()) {
+          want = &label;
+          break;
+        }
+      }
+      ASSERT_EQ(at_a.has_value(), want != nullptr) << "model step " << step;
+      if (at_a) {
+        EXPECT_EQ(at_a->fqdn, want->fqdn) << "model step " << step;
+      }
     }
-    ASSERT_EQ(flat.client_count(), ordered.client_count()) << step;
-    ASSERT_EQ(flat.stats().evictions, ordered.stats().evictions) << step;
+    ASSERT_EQ(tested.client_count(), ordered.client_count()) << step;
+    ASSERT_EQ(tested.stats().evictions, ordered.stats().evictions) << step;
   }
   // Every answer list is non-empty, so each insert past the first L
   // recycled exactly one live slot.
-  const std::uint64_t inserts = flat.stats().inserts;
-  EXPECT_EQ(flat.stats().evictions, inserts > L ? inserts - L : 0);
-  EXPECT_EQ(flat.capacity(), L);
+  const std::uint64_t inserts = tested.stats().inserts;
+  EXPECT_EQ(tested.stats().evictions, inserts > L ? inserts - L : 0);
+  EXPECT_EQ(tested.capacity(), L);
+}
+
+TEST_P(FlatPolicyEquivalence, MatchesOrderedThroughFullClistWrap) {
+  expect_matches_ordered<FlatPairIndex>(GetParam());
+}
+
+TEST_P(FlatPolicyEquivalence, UnorderedMatchesOrderedThroughFullClistWrap) {
+  expect_matches_ordered<UnorderedPairIndex>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(ClistSizes, FlatPolicyEquivalence,
