@@ -32,11 +32,8 @@
 // Run:  bench_lookup_micro --benchmark_format=json > BENCH_lookup.json
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <set>
 #include <span>
 #include <string>
@@ -47,28 +44,10 @@
 #include "core/flowdb.hpp"
 #include "core/resolver.hpp"
 #include "flow/flow.hpp"
+#include "tests/counting_alloc.hpp"
 #include "tests/nested_pair_index.hpp"
 #include "util/flat_hash.hpp"
 #include "util/rng.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -83,11 +62,9 @@ using dnh::net::Ipv4Address;
 class AllocScope {
  public:
   explicit AllocScope(benchmark::State& state)
-      : state_{state},
-        before_{g_allocations.load(std::memory_order_relaxed)} {}
+      : state_{state}, before_{dnh::counting_alloc::total()} {}
   ~AllocScope() {
-    const auto total =
-        g_allocations.load(std::memory_order_relaxed) - before_;
+    const auto total = dnh::counting_alloc::total() - before_;
     state_.counters["allocs_per_op"] = benchmark::Counter(
         static_cast<double>(total), benchmark::Counter::kAvgIterations);
   }

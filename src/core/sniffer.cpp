@@ -77,15 +77,14 @@ Sniffer::Sniffer(SnifferConfig config)
       resolver_{config.clist_size, domains_},
       table_{config.table},
       database_{domains_} {
-  // Pre-size the per-flow side tables from config so steady state never
-  // rehashes: pending tags track live flows; the TCP-DNS buffer table is
-  // hard-capped at max_tcp_dns_buffers.
-  pending_tags_.reserve(config_.table.expected_flows);
+  // Pre-size the TCP-DNS buffer table so steady state never rehashes; it
+  // is hard-capped at max_tcp_dns_buffers.
   tcp_dns_buffers_.reserve(
       std::min<std::size_t>(config_.max_tcp_dns_buffers, 1 << 16));
-  if (config_.dns_only) record_flows_.reserve(config_.table.expected_flows);
-  table_.set_flow_start_observer(
-      [this](const flow::FlowRecord& flow) { on_flow_start(flow); });
+  table_.set_flow_start_observer([this](flow::FlowRecord& flow) {
+    on_flow_start(flow,
+                  resolver_.lookup(flow.key.client_ip, flow.key.server_ip));
+  });
   table_.set_exporter(
       [this](flow::FlowRecord&& flow) { on_flow_export(std::move(flow)); });
   obs::Registry& registry = obs::Registry::global();
@@ -120,7 +119,7 @@ void Sniffer::publish_gauges() {
   dns_log_gauge_.set(static_cast<std::int64_t>(dns_log_.size()));
   tcp_buffers_gauge_.set(
       static_cast<std::int64_t>(tcp_dns_buffers_.size()));
-  pending_tags_gauge_.set(static_cast<std::int64_t>(pending_tags_.size()));
+  pending_tags_gauge_.set(static_cast<std::int64_t>(start_tagged_live_));
   domain_table_bytes_gauge_.set(
       static_cast<std::int64_t>(domains_->arena_bytes()));
   domain_table_size_gauge_.set(static_cast<std::int64_t>(domains_->size()));
@@ -204,101 +203,26 @@ void Sniffer::on_frame(net::BytesView frame, util::Timestamp ts) {
 }
 
 // dnh-analyze: hot
-void Sniffer::on_export_record(const flowexport::OrientedRecord& record,
+void Sniffer::on_export_record(const flow::OrientedRecord& record,
                                util::Timestamp arrival) {
   ++stats_.export_records;
   metrics().export_records_ingested.inc();
 
-  auto it = record_flows_.find(record.key);
-  if (it != record_flows_.end() &&
-      record.first > it->second.last_packet &&
-      record.first - it->second.last_packet > config_.table.idle_timeout) {
-    // Arrival-driven split, mirroring FlowTable: a record resuming an
-    // expired 5-tuple starts a new flow, so flow boundaries depend only on
-    // record timestamps, never on sweep cadence.
-    flow::FlowRecord expired = std::move(it->second);
-    record_flows_.erase(it);
-    on_flow_export(std::move(expired));
-    it = record_flows_.end();
-  }
-  if (it == record_flows_.end()) {
-    flow::FlowRecord fresh;
-    fresh.key = record.key;
-    fresh.first_packet = record.first;
-    fresh.last_packet = record.last;
-    it = record_flows_.emplace(record.key, std::move(fresh)).first;
+  if (flow::FlowRecord* fresh = table_.on_record(record)) {
     // Start-tag parity with the packet path: resolver insertions are
     // stream-ordered, so the newest entry at-or-before the flow's first
-    // packet is exactly what on_flow_start's lookup() saw at that instant
+    // packet is exactly what the packet path's lookup() saw at that instant
     // — even though the export record reaches us seconds later.
-    std::string_view fqdn;
-    if (const auto hit = resolver_.lookup_at_or_before(
-            record.key.client_ip, record.key.server_ip, record.first)) {
-      pending_tags_[record.key] =
-          PendingTag{hit->fqdn_id, hit->response_time};
-      fqdn = hit->fqdn;
-    }
-    if (flow_start_hook_) flow_start_hook_(it->second, fqdn);
-  }
-
-  flow::FlowRecord& flow = it->second;
-  if (record.first < flow.first_packet) flow.first_packet = record.first;
-  if (record.last > flow.last_packet) flow.last_packet = record.last;
-  if (record.from_client) {
-    flow.packets_c2s += record.packets;
-    flow.bytes_c2s += record.bytes;
-  } else {
-    flow.packets_s2c += record.packets;
-    flow.bytes_s2c += record.bytes;
-  }
-  if (record.key.transport == flow::Transport::kTcp) {
-    if (record.tcp_flags & 0x02) flow.saw_syn = true;
-    if (record.tcp_flags & 0x04) flow.saw_rst = true;
-    if (record.tcp_flags & 0x01) {
-      if (record.from_client)
-        flow.saw_fin_client = true;
-      else
-        flow.saw_fin_server = true;
-    }
+    on_flow_start(*fresh, resolver_.lookup_at_or_before(
+                              record.key.client_ip, record.key.server_ip,
+                              record.first));
   }
 
   if (stats_.export_records % config_.table.sweep_interval_packets == 0) {
-    sweep_record_flows(arrival);
+    // Memory bound only: the export-time label is a cutoff query at the
+    // flow's last packet, so exporting early or late cannot change it.
+    table_.sweep_idle(arrival);
     publish_gauges();
-  }
-}
-
-void Sniffer::sweep_record_flows(util::Timestamp now) {
-  // Memory bound only: the export-time label is a cutoff query at the
-  // flow's last packet, so flushing early or late cannot change it. Keys
-  // flush in sorted order so database insertion order is deterministic
-  // regardless of hash-map iteration order.
-  std::vector<flow::FlowKey> idle;
-  for (const auto& [key, flow] : record_flows_) {
-    if (now > flow.last_packet &&
-        now - flow.last_packet > config_.table.idle_timeout) {
-      idle.push_back(key);
-    }
-  }
-  std::sort(idle.begin(), idle.end());
-  for (const auto& key : idle) {
-    auto it = record_flows_.find(key);
-    flow::FlowRecord flow = std::move(it->second);
-    record_flows_.erase(it);
-    on_flow_export(std::move(flow));
-  }
-}
-
-void Sniffer::flush_record_flows() {
-  std::vector<flow::FlowKey> keys;
-  keys.reserve(record_flows_.size());
-  for (const auto& [key, flow] : record_flows_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const auto& key : keys) {
-    auto it = record_flows_.find(key);
-    flow::FlowRecord flow = std::move(it->second);
-    record_flows_.erase(it);
-    on_flow_export(std::move(flow));
   }
 }
 
@@ -407,10 +331,12 @@ void Sniffer::on_tcp_dns_segment(const packet::DecodedPacket& pkt) {
   if (buffer.empty()) tcp_dns_buffers_.erase(key);
 }
 
-void Sniffer::on_flow_start(const flow::FlowRecord& flow) {
-  const auto hit = resolver_.lookup(flow.key.client_ip, flow.key.server_ip);
+void Sniffer::on_flow_start(flow::FlowRecord& flow,
+                            const std::optional<ResolverHit>& hit) {
   if (hit) {
-    pending_tags_[flow.key] = PendingTag{hit->fqdn_id, hit->response_time};
+    flow.start_fqdn = hit->fqdn_id;
+    flow.start_response_time = hit->response_time;
+    ++start_tagged_live_;
   }
   if (flow_start_hook_)
     flow_start_hook_(flow, hit ? hit->fqdn : std::string_view{});
@@ -429,15 +355,14 @@ void Sniffer::on_flow_export(flow::FlowRecord&& flow) {
   tagged.bytes_c2s = flow.bytes_c2s;
   tagged.bytes_s2c = flow.bytes_s2c;
 
-  const auto pending = pending_tags_.find(flow.key);
-  if (pending != pending_tags_.end()) {
-    tagged.fqdn_id = pending->second.fqdn;
+  if (flow.start_fqdn != kEmptyDomainId) {
+    tagged.fqdn_id = flow.start_fqdn;
     tagged.fqdn = domains_->view(tagged.fqdn_id);
-    tagged.dns_response_time = pending->second.response_time;
+    tagged.dns_response_time = flow.start_response_time;
     tagged.tagged_at_start = true;
     ++stats_.flows_tagged_at_start;
     m.flows_tagged_start.inc();
-    pending_tags_.erase(pending);
+    --start_tagged_live_;
   } else {
     // Late retry: the response may have been sniffed after the first
     // packet (e.g. flow start raced the DNS answer). Only responses
@@ -498,7 +423,6 @@ bool Sniffer::process_pcap(const std::string& path) {
 
 void Sniffer::finish() {
   table_.flush();
-  flush_record_flows();
   publish_gauges();
 }
 

@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,7 +21,6 @@
 #include "core/resolver.hpp"
 #include "dns/wire_scan.hpp"
 #include "flow/table.hpp"
-#include "flowexport/orient.hpp"
 #include "net/bytes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -133,8 +133,9 @@ struct SnifferStats {
 
 class Sniffer {
  public:
-  /// Invoked at each flow's first packet with the label DN-Hunter already
-  /// has ("" when unknown) — the hook a live policy enforcer attaches to.
+  /// Invoked at each flow's first packet (a record flow's first record,
+  /// already merged) with the label DN-Hunter already has ("" when
+  /// unknown) — the hook a live policy enforcer attaches to.
   using FlowStartHook =
       std::function<void(const flow::FlowRecord&, std::string_view fqdn)>;
 
@@ -144,12 +145,13 @@ class Sniffer {
   void on_frame(net::BytesView frame, util::Timestamp ts);
 
   /// Feeds one oriented flow-export record (NetFlow/IPFIX ingest). Both
-  /// directions of a flow merge under the oriented key until an
-  /// arrival-driven idle gap or finish() flushes the flow through the same
-  /// tagging/export path packets take. `arrival` is when the export
-  /// datagram reached the collector (drives the idle sweep only — tag
-  /// decisions depend solely on the record's own timestamps).
-  void on_export_record(const flowexport::OrientedRecord& record,
+  /// directions of a flow merge in the flow table under the oriented key
+  /// (FlowTable::on_record) until an arrival-driven idle gap, the idle
+  /// sweep or finish() exports it through the same tagging/export path
+  /// packets take. `arrival` is when the export datagram reached the
+  /// collector (drives the idle sweep only — tag decisions depend solely
+  /// on the record's own timestamps).
+  void on_export_record(const flow::OrientedRecord& record,
                         util::Timestamp arrival);
 
   /// Streams a pcap file through the sniffer. Returns false if the file
@@ -199,11 +201,6 @@ class Sniffer {
   const std::string& error() const noexcept { return error_; }
 
  private:
-  struct PendingTag {
-    DomainId fqdn = kEmptyDomainId;
-    util::Timestamp response_time;
-  };
-
   /// Publishes this sniffer's state gauges (resolver/cache/table sizes)
   /// from the owning thread; called every kGaugePublishInterval frames
   /// and at finish() so the metrics exporter sees live-ish values without
@@ -215,14 +212,11 @@ class Sniffer {
   void on_tcp_dns_segment(const packet::DecodedPacket& pkt);
   void handle_dns_message(net::BytesView wire, net::Ipv4Address client,
                           util::Timestamp ts);
-  void on_flow_start(const flow::FlowRecord& flow);
+  /// Writes the resolver's answer at the flow's start into the flow as its
+  /// start label and fires the flow-start hook.
+  void on_flow_start(flow::FlowRecord& flow,
+                     const std::optional<ResolverHit>& hit);
   void on_flow_export(flow::FlowRecord&& flow);
-  /// Flushes record-derived flows idle past the table's idle_timeout
-  /// relative to `now` (memory bound only; labels are cutoff queries and
-  /// never depend on when this runs).
-  void sweep_record_flows(util::Timestamp now);
-  /// Flushes every record-derived flow, in sorted key order.
-  void flush_record_flows();
 
   SnifferConfig config_;
   /// Declared before every member that shares it (resolver, database).
@@ -233,24 +227,15 @@ class Sniffer {
   /// Reused decode buffers: steady-state DNS handling allocates nothing.
   dns::ResponseScratch dns_scratch_;
   std::vector<DnsEvent> dns_log_;
-  // Flat open-addressing tables (docs/performance.md "Flat-hash hot
-  // path"): probed per flow start / per TCP-DNS segment / per export
-  // record. Flush paths sort keys before export, so iteration order never
-  // reaches the output.
-  // One entry per live tagged flow, erased when the flow exports; the
-  // flow table's idle sweep bounds live flows.
-  // dnh-analyze: bounded(on_flow_export)
-  util::FlatHash<flow::FlowKey, PendingTag> pending_tags_;
+  /// Live flows in table_ that carry a start label (dnh_pending_tags).
+  std::size_t start_tagged_live_ = 0;
   /// Per-connection reassembly of length-prefixed DNS-over-TCP responses,
-  /// keyed by (clientIP, client port).
+  /// keyed by (clientIP, client port): a flat open-addressing table
+  /// (docs/performance.md "Flat-hash hot path") probed per TCP-DNS
+  /// segment.
   // dnh-analyze: bounded(max_tcp_dns_buffers) oldest-arbitrary eviction at
   // the cap, counted in tcp_dns_buffer_evictions.
   util::FlatHash<std::uint64_t, net::Bytes> tcp_dns_buffers_;
-  /// Record-derived flows mid-merge (flow-export ingest): the two
-  /// directional export records of one flow accumulate here until flushed.
-  // dnh-analyze: bounded(sweep_record_flows) idle entries flushed on the
-  // table's sweep cadence; finish() drains the rest.
-  util::FlatHash<flow::FlowKey, flow::FlowRecord> record_flows_;
   FlowStartHook flow_start_hook_;
   SnifferStats stats_;
   bool have_last_frame_ts_ = false;

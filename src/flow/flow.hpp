@@ -64,6 +64,13 @@ struct FlowRecord {
   bool saw_fin_server = false;
   bool saw_rst = false;
 
+  // The Flow Tagger's label at the flow's first packet, written by the
+  // flow-start observer: the interned id of the domain (a core::DomainId;
+  // 0, the empty name, when the resolver knew none) and the time of the
+  // DNS response it came from.
+  std::uint32_t start_fqdn = 0;
+  util::Timestamp start_response_time;
+
   std::uint64_t total_packets() const noexcept {
     return packets_c2s + packets_s2c;
   }
@@ -73,6 +80,18 @@ struct FlowRecord {
   bool finished() const noexcept {
     return saw_rst || (saw_fin_client && saw_fin_server);
   }
+};
+
+/// One direction of one flow as a flow exporter (NetFlow/IPFIX) summarized
+/// it, resolved into the oriented flow world by flowexport::RecordOrienter.
+struct OrientedRecord {
+  FlowKey key;              ///< oriented client->server
+  bool from_client = true;  ///< this record's src->dst direction
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  std::uint8_t tcp_flags = 0;
+  util::Timestamp first;
+  util::Timestamp last;
 };
 
 }  // namespace dnh::flow

@@ -207,23 +207,69 @@ void FlowTable::append_head(FlowRecord& flow, bool c2s,
   // seq < next_seq: retransmission of already-consumed data — ignore.
 }
 
+FlowRecord* FlowTable::on_record(const OrientedRecord& record) {
+  auto it = flows_.find(record.key);
+  // Arrival-driven idle split, as in on_packet: record timestamps alone
+  // decide flow boundaries, never sweep cadence.
+  if (it != flows_.end() &&
+      record.first - it->second.last_packet > config_.idle_timeout) {
+    FlowRecord done = std::move(it->second);
+    flows_.erase(it);
+    export_flow(std::move(done));
+    it = flows_.end();
+  }
+
+  const bool is_new = it == flows_.end();
+  if (is_new) {
+    FlowRecord fresh;
+    fresh.key = record.key;
+    fresh.first_packet = record.first;
+    fresh.last_packet = record.last;
+    it = flows_.emplace(record.key, std::move(fresh)).first;
+    ++flows_seen_;
+  }
+
+  FlowRecord& flow = it->second;
+  flow.first_packet = std::min(flow.first_packet, record.first);
+  flow.last_packet = std::max(flow.last_packet, record.last);
+  if (record.from_client) {
+    flow.packets_c2s += record.packets;
+    flow.bytes_c2s += record.bytes;
+  } else {
+    flow.packets_s2c += record.packets;
+    flow.bytes_s2c += record.bytes;
+  }
+  // An exporter ORs a slice's flags into one byte: its FIN or RST says
+  // nothing about slices of this flow still in flight.
+  if (record.key.transport == Transport::kTcp) {
+    if (record.tcp_flags & packet::tcpflags::kSyn) flow.saw_syn = true;
+    if (record.tcp_flags & packet::tcpflags::kRst) flow.saw_rst = true;
+    if (record.tcp_flags & packet::tcpflags::kFin) {
+      if (record.from_client)
+        flow.saw_fin_client = true;
+      else
+        flow.saw_fin_server = true;
+    }
+  }
+  return is_new ? &flow : nullptr;
+}
+
 void FlowTable::sweep_idle(util::Timestamp now) {
   std::vector<FlowKey> stale;
   for (const auto& [key, flow] : flows_) {
     if (now - flow.last_packet > config_.idle_timeout) stale.push_back(key);
   }
-  for (const auto& key : stale) {
-    auto it = flows_.find(key);
-    FlowRecord done = std::move(it->second);
-    flows_.erase(it);
-    export_flow(std::move(done));
-  }
+  export_sorted(stale);
 }
 
 void FlowTable::flush() {
   std::vector<FlowKey> keys;
   keys.reserve(flows_.size());
   for (const auto& [key, _] : flows_) keys.push_back(key);
+  export_sorted(keys);
+}
+
+void FlowTable::export_sorted(std::vector<FlowKey>& keys) {
   // Deterministic export order regardless of hash-map iteration.
   std::sort(keys.begin(), keys.end());
   for (const auto& key : keys) {

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "flow/flow.hpp"
 #include "packet/decode.hpp"
@@ -28,15 +29,17 @@ struct TableConfig {
   std::size_t expected_flows = 4096;
 };
 
-/// Reconstructs flows from a packet stream and exports them on completion
-/// (FIN/FIN or RST), idle timeout, or final flush.
+/// Reconstructs flows from a packet stream, or merges them from flow-export
+/// records, and exports them on completion (FIN/FIN or RST, packets only),
+/// idle timeout, or final flush.
 class FlowTable {
  public:
   /// Export sink; receives each finished flow exactly once.
   using Exporter = std::function<void(FlowRecord&&)>;
-  /// Observer invoked once per flow, on its first packet (before any
-  /// payload): the tagger hook — "identify flows even before they begin".
-  using FlowStartObserver = std::function<void(const FlowRecord&)>;
+  /// Observer invoked once per packet-derived flow, on its first packet
+  /// (before any payload): the tagger hook — "identify flows even before
+  /// they begin". It may write the flow's start label.
+  using FlowStartObserver = std::function<void(FlowRecord&)>;
 
   explicit FlowTable(TableConfig config = {});
 
@@ -49,7 +52,18 @@ class FlowTable {
   /// the caller (decode_frame already drops them).
   void on_packet(const packet::DecodedPacket& pkt);
 
-  /// Exports every live flow (end of trace).
+  /// Merges one flow-export record into the flow under its oriented key,
+  /// splitting on an idle gap as on_packet does. Flags never close a record
+  /// flow, and no sweep runs here. Returns the flow this record opened
+  /// (valid until the table next changes) for the caller to tag, or
+  /// nullptr when it merged into a live one.
+  FlowRecord* on_record(const OrientedRecord& record);
+
+  /// Exports, in key order, every flow idle longer than idle_timeout at
+  /// `now`: on_packet's cadence, or a record feeder's own.
+  void sweep_idle(util::Timestamp now);
+
+  /// Exports every live flow, in key order (end of trace).
   void flush();
 
   std::size_t live_flows() const noexcept { return flows_.size(); }
@@ -58,7 +72,8 @@ class FlowTable {
 
  private:
   void export_flow(FlowRecord&& record);
-  void sweep_idle(util::Timestamp now);
+  /// Exports the flows under `keys`, sorted first for a deterministic order.
+  void export_sorted(std::vector<FlowKey>& keys);
 
   /// Per-direction TCP head reassembly: real captures reorder and
   /// retransmit; blindly appending payloads would corrupt the head bytes
@@ -81,9 +96,10 @@ class FlowTable {
   TableConfig config_;
   // Flat open-addressing tables (docs/performance.md "Flat-hash hot
   // path"): every packet probes flows_ once (twice on orientation miss),
-  // so the lookup structure is the per-packet cost center. Export order
-  // stays deterministic because flush()/sweep_idle() sort keys before
-  // exporting — iteration order never reaches the output.
+  // every record once, so the lookup structure is the per-input cost
+  // center. Export order stays deterministic because flush() and
+  // sweep_idle() sort keys before exporting — iteration order never
+  // reaches the output.
   // dnh-analyze: bounded(sweep_idle) idle flows exported and erased on the
   // sweep cadence; reasm_ entries die with their flow.
   util::FlatHash<FlowKey, FlowRecord> flows_;

@@ -34,7 +34,7 @@ RecordOrienter::RecordOrienter(OrienterConfig config) : config_{config} {
     config_.sweep_interval_records = 1;
 }
 
-OrientedRecord RecordOrienter::orient(const ExportRecord& record) {
+flow::OrientedRecord RecordOrienter::orient(const ExportRecord& record) {
   ++records_;
   if (records_ % config_.sweep_interval_records == 0) sweep(record.last);
 
@@ -69,7 +69,7 @@ OrientedRecord RecordOrienter::orient(const ExportRecord& record) {
   PairState& state = it->second;
   if (record.last > state.last_seen) state.last_seen = record.last;
 
-  OrientedRecord out;
+  flow::OrientedRecord out;
   out.from_client = src_is_lo == state.lo_is_client;
   if (out.from_client) {
     out.key.client_ip = record.src_ip;

@@ -35,17 +35,6 @@
 
 namespace dnh::flowexport {
 
-/// An export record resolved into the library's oriented flow world.
-struct OrientedRecord {
-  flow::FlowKey key;        ///< oriented client->server
-  bool from_client = true;  ///< this record's src->dst direction
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-  std::uint8_t tcp_flags = 0;
-  util::Timestamp first;
-  util::Timestamp last;
-};
-
 struct OrienterConfig {
   /// A pair idle longer than this is forgotten and re-inferred; matches
   /// flow::TableConfig::idle_timeout so orientation splits exactly where
@@ -60,7 +49,7 @@ class RecordOrienter {
   explicit RecordOrienter(OrienterConfig config = {});
 
   /// Orients one record. Deterministic given the record sequence.
-  OrientedRecord orient(const ExportRecord& record);
+  flow::OrientedRecord orient(const ExportRecord& record);
 
   std::size_t live_pairs() const noexcept { return pairs_.size(); }
 

@@ -93,7 +93,8 @@ std::string_view help_for(const std::string& base) {
        "DNS messages reassembled from TCP streams."},
       {"dnh_domain_table_bytes", "Bytes held by the FQDN intern arena."},
       {"dnh_domain_table_size", "Distinct FQDNs interned."},
-      {"dnh_flow_table_live", "Flows currently tracked."},
+      {"dnh_flow_table_live",
+       "Flows currently tracked, packet- or record-derived."},
       {"dnh_flowexport_datagrams_total", "Flow-export datagrams decoded."},
       {"dnh_flowexport_parse_errors_total",
        "Flow-export datagrams that failed to parse, by kind."},
@@ -119,7 +120,7 @@ std::string_view help_for(const std::string& base) {
        "Scan-forward recoveries over damaged capture regions."},
       {"dnh_pcap_truncated_tails_total",
        "Captures whose final record was cut short."},
-      {"dnh_pending_tags", "DNS-tagged endpoints awaiting their flow."},
+      {"dnh_pending_tags", "Live flows tagged at their first packet."},
       {"dnh_pipeline_blocked_pushes_total",
        "Dispatcher pushes that waited on a full shard ring."},
       {"dnh_pipeline_frame_blocks",

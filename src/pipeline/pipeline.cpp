@@ -249,7 +249,7 @@ struct ShardedAnalyzer::Item {
   /// (kRotate/kStop).
   util::Timestamp ts;
   util::Timestamp end;     ///< window end (kRotate/kStop)
-  /// Frame bytes (kFrame) or a flowexport::OrientedRecord (kRecord), in a
+  /// Frame bytes (kFrame) or a flow::OrientedRecord (kRecord), in a
   /// frame block.
   const unsigned char* data = nullptr;
 };
@@ -334,7 +334,7 @@ class ShardedAnalyzer::FramePool final : public pcap::BlockSource {
  public:
   static_assert(sizeof(Item) == 32 && std::is_trivially_copyable_v<Item>,
                 "a ring slot is a 32-byte view");
-  static_assert(std::is_trivially_copyable_v<flowexport::OrientedRecord>,
+  static_assert(std::is_trivially_copyable_v<flow::OrientedRecord>,
                 "records travel as bytes in a frame block");
 
   explicit FramePool(ShardedAnalyzer& owner) : owner_{owner} {}
@@ -764,7 +764,7 @@ void ShardedAnalyzer::on_export_record(const flowexport::ExportRecord& record,
   ++records_dispatched_;
   pipeline_metrics().records_dispatched.inc();
 
-  const flowexport::OrientedRecord oriented = orienter_.orient(record);
+  const flow::OrientedRecord oriented = orienter_.orient(record);
   if (inline_mode()) {
     workers_[0]->sniffer->on_export_record(oriented, arrival);
     return;
@@ -990,7 +990,7 @@ bool ShardedAnalyzer::consume(std::size_t shard, const Item& item) {
       return true;
     }
     case Item::Kind::kRecord: {
-      flowexport::OrientedRecord record;
+      flow::OrientedRecord record;
       std::memcpy(&record, item.data, sizeof record);
       worker.sniffer->on_export_record(record, item.ts);
       return true;

@@ -85,9 +85,11 @@ bool ExportStreamSource::run(ShardedAnalyzer& analyzer) {
     pcap::CaptureReadOptions options;
     options.resync = analyzer.config().sniffer.resync_capture;
     pcap::CaptureReadReport report;
-    ok = pcap::read_any_capture(
+    // Views, not copies: pump() reads no frame, so each view stays valid
+    // until on_frame() has taken it.
+    ok = pcap::read_capture_views(
         dns_pcap_,
-        [&](const pcap::Frame& frame) {
+        [&](const pcap::FrameView& frame) {
           pump(frame.timestamp, false);
           analyzer.on_frame(frame.data, frame.timestamp);
         },

@@ -5,9 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,36 +16,8 @@
 #include "dns/message.hpp"
 #include "dns/name.hpp"
 #include "dns/wire_scan.hpp"
+#include "tests/counting_alloc.hpp"
 #include "util/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Counts every operator-new in the binary; tests snapshot it around a
-// steady-state loop to prove the hot path stays off the heap.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// GCC pairs the replaced operator new (malloc) with the replaced delete
-// (free) just fine; its heuristic only sees "free() of new-ed pointer".
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dnh::core {
 namespace {
@@ -283,11 +252,9 @@ TEST(DomainTable, SteadyStateDecodeAndInsertAllocatesNothing) {
   for (std::int64_t pass = 0; pass * kNames < 4096 + kNames; ++pass)
     run_pass(pass * 1000);
 
-  const std::uint64_t before =
-      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = counting_alloc::total();
   run_pass(1'000'000);
-  const std::uint64_t after =
-      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = counting_alloc::total();
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations across " << kNames
       << " steady-state DNS messages";

@@ -247,7 +247,9 @@ TEST(FlatHashTest, RandomizedDifferentialAgainstUnorderedMap) {
         const auto it = h.find(key);
         const auto rit = ref.find(key);
         ASSERT_EQ(it == h.end(), rit == ref.end()) << "step " << step;
-        if (rit != ref.end()) ASSERT_EQ(it->second, rit->second);
+        if (rit != ref.end()) {
+          ASSERT_EQ(it->second, rit->second);
+        }
         break;
       }
     }

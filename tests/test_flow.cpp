@@ -209,6 +209,27 @@ TEST(FlowTable, IdleFlowsSweptAfterTimeout) {
   EXPECT_EQ(table.live_flows(), 1u);
 }
 
+TEST(FlowTable, IdleSweepExportsInKeyOrder) {
+  TableConfig config;
+  config.idle_timeout = util::Duration::seconds(10);
+  constexpr std::uint16_t kFlows = 64;
+  config.sweep_interval_packets = kFlows + 1;  // sweep at the late packet
+  FlowTable table{config};
+  std::vector<FlowRecord> exported;
+  table.set_exporter([&](FlowRecord&& f) { exported.push_back(std::move(f)); });
+  // Client ports in a scrambled order, so neither arrival order nor hash
+  // slot order is key order.
+  for (std::uint16_t i = 0; i < kFlows; ++i) {
+    const auto port = static_cast<std::uint16_t>(50000 + (i * 37) % kFlows);
+    table.on_packet(tcp_pkt(kClient, kServer, port, 80, kSyn, i));
+  }
+  table.on_packet(tcp_pkt(kClient, kServer, 60000, 80, kSyn, 60'000'000));
+  ASSERT_EQ(exported.size(), kFlows);
+  for (std::uint16_t i = 0; i < kFlows; ++i)
+    EXPECT_EQ(exported[i].key.client_port, 50000 + i) << "export " << i;
+  EXPECT_EQ(table.live_flows(), 1u);
+}
+
 TEST(FlowTable, FlushExportsEverythingDeterministically) {
   FlowTable table;
   std::vector<FlowRecord> exported;

@@ -7,14 +7,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <map>
-#include <new>
 #include <ostream>
 #include <sstream>
 #include <streambuf>
@@ -25,43 +22,13 @@
 #include "core/flowdb_io.hpp"
 #include "dns/domain.hpp"
 #include "pipeline/pipeline.hpp"
+#include "tests/counting_alloc.hpp"
 #include "util/rng.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// GCC pairs the replaced operator new (malloc) with the replaced delete
-// (free) just fine; its heuristic only sees "free() of new-ed pointer".
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dnh::core {
 namespace {
 
 using FlowIndex = FlowDatabase::FlowIndex;
-
-std::uint64_t allocations() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 // ---- the former ostream formatter, kept as the differential oracle ---------
 
@@ -244,12 +211,12 @@ TEST(FlowTsvFormatter, RowsAllocateNothing) {
   CountingBuf buf;
   std::ostream out{&buf};
 
-  const std::uint64_t before_small = allocations();
+  const std::uint64_t before_small = counting_alloc::total();
   write_flow_tsv(small, out);
-  const std::uint64_t small_cost = allocations() - before_small;
-  const std::uint64_t before_large = allocations();
+  const std::uint64_t small_cost = counting_alloc::total() - before_small;
+  const std::uint64_t before_large = counting_alloc::total();
   write_flow_tsv(large, out);
-  const std::uint64_t large_cost = allocations() - before_large;
+  const std::uint64_t large_cost = counting_alloc::total() - before_large;
 
   EXPECT_GT(buf.bytes, 16u * 64 * 1024);
   EXPECT_EQ(large_cost, small_cost)
@@ -553,9 +520,9 @@ TEST(FlowDbLazyIndex, AddWithInternedLabelsOnlyGrowsTheVector) {
     flows[i].fqdn = names[i % names.size()];
   }
 
-  const std::uint64_t before = allocations();
+  const std::uint64_t before = counting_alloc::total();
   for (auto& flow : flows) db.add(std::move(flow));
-  const std::uint64_t cost = allocations() - before;
+  const std::uint64_t cost = counting_alloc::total() - before;
   EXPECT_LE(cost, 2 * static_cast<std::uint64_t>(std::log2(kFlows)) + 2)
       << cost << " allocations for " << kFlows << " adds";
   EXPECT_EQ(db.size(), kFlows);

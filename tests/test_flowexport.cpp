@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/flowdb_io.hpp"
@@ -417,13 +418,13 @@ TEST(FlowExportOrient, IdlePairIsReinferredFromScratch) {
 
 // ------------------------------------------------- sniffer record ingest
 
-flowexport::OrientedRecord oriented(std::uint32_t client,
+flow::OrientedRecord oriented(std::uint32_t client,
                                     std::uint32_t server,
                                     bool from_client,
                                     std::int64_t first_seconds,
                                     std::uint64_t packets,
                                     std::uint64_t bytes) {
-  flowexport::OrientedRecord r;
+  flow::OrientedRecord r;
   r.key.client_ip = net::Ipv4Address{client};
   r.key.server_ip = net::Ipv4Address{server};
   r.key.client_port = 50000;
@@ -469,6 +470,47 @@ TEST(FlowExportSniffer, IdleGapSplitsTheKeyIntoTwoFlows) {
                            util::Timestamp::from_seconds(703));
   sniffer.finish();
   EXPECT_EQ(sniffer.stats().flows_exported, 2u);
+}
+
+TEST(FlowExportSniffer, FinAndRstRecordsDoNotCloseTheFlow) {
+  // An exporter ORs every packet's flags into one byte per record, and a
+  // long flow reaches the collector in slices: a FIN or RST in one slice
+  // says nothing about the slices still to come.
+  core::Sniffer sniffer;
+  int starts = 0;
+  sniffer.set_flow_start_hook(
+      [&](const flow::FlowRecord& flow, std::string_view) {
+        ++starts;
+        EXPECT_EQ(flow.packets_c2s, 5u);  // the first record, merged
+      });
+  const auto arrival = util::Timestamp::from_seconds(110);
+  // oriented() sets FIN|SYN|PSH|ACK: both sides have sent a FIN.
+  sniffer.on_export_record(oriented(0x0a000003, 0xcb000003, true, 100, 5,
+                                    500),
+                           arrival);
+  sniffer.on_export_record(oriented(0x0a000003, 0xcb000003, false, 100, 6,
+                                    600),
+                           arrival);
+  auto rst = oriented(0x0a000003, 0xcb000003, false, 101, 1, 40);
+  rst.tcp_flags = 0x14;  // RST|ACK
+  sniffer.on_export_record(rst, arrival);
+  // A minute on, well inside the five-minute idle timeout.
+  sniffer.on_export_record(oriented(0x0a000003, 0xcb000003, true, 160, 2,
+                                    200),
+                           util::Timestamp::from_seconds(170));
+  EXPECT_EQ(sniffer.stats().flows_exported, 0u);
+  sniffer.finish();
+  EXPECT_EQ(starts, 1);
+  EXPECT_EQ(sniffer.stats().flows_exported, 1u);
+  const auto db = sniffer.take_database();
+  ASSERT_EQ(db.size(), 1u);
+  const auto& flow = db.flows()[0];
+  EXPECT_EQ(flow.packets_c2s, 7u);
+  EXPECT_EQ(flow.bytes_c2s, 700u);
+  EXPECT_EQ(flow.packets_s2c, 7u);
+  EXPECT_EQ(flow.bytes_s2c, 640u);
+  EXPECT_EQ(flow.first_packet, util::Timestamp::from_seconds(100));
+  EXPECT_EQ(flow.last_packet, util::Timestamp::from_seconds(162));
 }
 
 TEST(FlowExportSniffer, DnsOnlyModeKeepsPacketsOutOfTheFlowTable) {

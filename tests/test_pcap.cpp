@@ -3,14 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <set>
 
 #include "faultinject/faultinject.hpp"
@@ -18,40 +15,7 @@
 #include "pcap/pcap.hpp"
 #include "pcap/pcapng.hpp"
 #include "pipeline/pipeline.hpp"
-
-// ---- global allocation counter ---------------------------------------------
-// Counts every operator-new in the binary, so a test can snapshot it around
-// a steady-state read loop to prove the read path stays off the heap.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-/// The calling thread's share: the sharded-dispatch test counts only the
-/// dispatcher (its own thread), since shard workers allocate as flows end.
-thread_local std::uint64_t t_allocations = 0;
-}  // namespace
-
-// GCC pairs the replaced operator new (malloc) with the replaced delete
-// (free) just fine; its heuristic only sees "free() of new-ed pointer".
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  ++t_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  ++t_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/counting_alloc.hpp"
 
 namespace dnh::pcap {
 namespace {
@@ -732,8 +696,8 @@ TEST_F(PcapTest, SteadyStateReadAnyCaptureAllocatesNothing) {
       p,
       [&](const Frame&) {
         ++frames;
-        if (frames == 100) at_warm = g_allocations.load();
-        at_last = g_allocations.load();
+        if (frames == 100) at_warm = counting_alloc::total();
+        at_last = counting_alloc::total();
       },
       error))
       << error;
@@ -781,8 +745,8 @@ TEST_F(PcapTest, PipelineDispatchAllocatesNothingAfterWarmUp) {
   config.shards = 2;
   config.queue_capacity = 64;
   config.drain_check = [&] {
-    if (++polls == kFrames / 2) at_warm = t_allocations;
-    at_last = t_allocations;
+    if (++polls == kFrames / 2) at_warm = counting_alloc::this_thread();
+    at_last = counting_alloc::this_thread();
     return false;
   };
   pipeline::ShardedAnalyzer analyzer{config, nullptr};
@@ -793,11 +757,11 @@ TEST_F(PcapTest, PipelineDispatchAllocatesNothingAfterWarmUp) {
 
   // The copying path: on_frame from caller-owned buffers.
   for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (i == frames.size() / 2) at_warm = t_allocations;
+    if (i == frames.size() / 2) at_warm = counting_alloc::this_thread();
     analyzer.on_frame(frames[i].data, frames[i].timestamp +
                                           util::Duration::seconds(60));
   }
-  EXPECT_EQ(t_allocations - at_warm, 0u)
+  EXPECT_EQ(counting_alloc::this_thread() - at_warm, 0u)
       << "dispatcher allocations while copying frames into the rings";
   analyzer.finish();
   EXPECT_EQ(analyzer.stats().frames_dispatched, 2 * kFrames);
